@@ -7,7 +7,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .rng import RngStream, beta_1s_sample, TWO_PI
+from .rng import RngStream, beta_1s_sample, block_start, TWO_PI
 
 
 @dataclass(frozen=True)
@@ -55,26 +55,43 @@ class PointConfiguration:
     scale: str
 
 
-def sample_verblunsky(beta: float, n: int, rng: RngStream) -> VerblunskyDraw:
-    """Sample coefficients for a circular beta ensemble of n points.
+def _sample_verblunsky_block(beta: float, n: int, count: int, rng: RngStream):
+    """Sample coefficients for `count` independent circular beta ensembles of
+    n points from one stream.
 
     |gamma_j|^2 ~ Beta(1, beta*(n-j-1)/2) with uniform independent argument;
-    eta uniform on [0, 2*pi). Draw order (squared radii, arguments, eta) is
-    part of the reproducibility contract.
+    eta uniform on [0, 2*pi). The draw order is part of the reproducibility
+    contract: squared radii (count, n-1) by inverse CDF, then arguments
+    (count, n-1), then eta (count,). Returns (gamma (count, n-1) complex,
+    eta (count,)).
     """
     if beta <= 0:
         raise ValueError(f"beta must be positive, got {beta}")
     if n < 1:
         raise ValueError(f"n must be at least 1, got {n}")
-    if n == 1:
-        gamma = np.empty(0, dtype=complex)
-    else:
-        shape = 0.5 * beta * (n - 1.0 - np.arange(n - 1))
-        radius_sq = beta_1s_sample(shape, rng)
-        angles = TWO_PI * rng.generator.random(n - 1)
-        gamma = np.sqrt(radius_sq) * np.exp(1j * angles)
-    eta = TWO_PI * rng.generator.random()
-    return VerblunskyDraw(beta=beta, n=n, gamma=gamma, eta=eta)
+    size = (count, n - 1)
+    radius = beta_1s_sample(0.5 * beta * (n - 1.0 - np.arange(n - 1)), rng, size=size)
+    np.sqrt(radius, out=radius)
+    angles = rng.generator.random(size)
+    angles *= TWO_PI
+    # Built in place: a complex exp(1j * angles) would allocate two more
+    # (count, n-1) complex temporaries, which at n in the thousands set the
+    # process's peak memory.
+    gamma = np.empty(size, dtype=complex)
+    np.cos(angles, out=gamma.real)
+    np.sin(angles, out=gamma.imag)
+    del angles
+    gamma.real *= radius
+    gamma.imag *= radius
+    eta = TWO_PI * rng.generator.random(count)
+    return gamma, eta
+
+
+def sample_verblunsky(beta: float, n: int, rng: RngStream) -> VerblunskyDraw:
+    """Sample coefficients for a circular beta ensemble of n points: the
+    one-draw case of the block sampler, with the same draw order."""
+    gamma, eta = _sample_verblunsky_block(beta, n, 1, rng)
+    return VerblunskyDraw(beta=beta, n=n, gamma=gamma[0], eta=float(eta[0]))
 
 
 def _phase_step(psi, theta, g_re, g_im, ang0):
@@ -222,19 +239,13 @@ def sine_beta_window(
 
 
 def _stack_draws(beta: float, n: int, master_seed: int, indices: np.ndarray):
-    """Sample one draw per stream index and stack coefficients for block math.
+    """Sample the block of replicas `indices` (a contiguous range) from the
+    one stream addressed by its first index.
 
-    Returns (gamma (C, n-1) complex, eta (C,)). Each replica consumes only its
-    own stream, so results do not depend on how replicas are grouped.
+    Returns (gamma (C, n-1) complex, eta (C,)).
     """
-    count = len(indices)
-    gamma = np.empty((count, n - 1), dtype=complex)
-    eta = np.empty(count)
-    for row, idx in enumerate(indices):
-        draw = sample_verblunsky(beta, n, RngStream(master_seed, int(idx)))
-        gamma[row] = draw.gamma
-        eta[row] = draw.eta
-    return gamma, eta
+    rng = RngStream(master_seed, block_start(indices))
+    return _sample_verblunsky_block(beta, n, len(indices), rng)
 
 
 def _count_arcs_block(gamma: np.ndarray, eta: np.ndarray, n: int, xs: np.ndarray) -> np.ndarray:

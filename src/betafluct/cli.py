@@ -7,13 +7,14 @@ import json
 import math
 import sys
 import time
+from dataclasses import astuple
 
 import numpy as np
 
 from . import __version__
 from .circular import cbe_points, sample_verblunsky, sine_beta_window
 from .gaussian import sample_tridiagonal, semicircle_residual, verify_counts
-from .rng import RngStream
+from .rng import STREAM_CONTRACT, RngStream
 from .stats import (
     ScanSpec,
     cue_variance_oracle,
@@ -53,12 +54,14 @@ def _parse_float_list(text: str) -> tuple:
     return tuple(float(v) for v in text.split(","))
 
 
-def _emit_table(header: str, lines: list[str], args, extra_manifest=None) -> None:
-    body = header + "\n" + "".join(line + "\n" for line in lines)
+def _emit_table(header: str, rows, args, extra_manifest=None) -> None:
+    """Write rows of typed values as CSV (cells formatted by _fmt) or as JSON
+    objects whose numbers stay numbers."""
     if getattr(args, "fmt", "csv") == "json":
         keys = header.split(",")
-        rows = [dict(zip(keys, line.split(","))) for line in lines]
-        body = json.dumps(rows, indent=2) + "\n"
+        body = json.dumps([dict(zip(keys, row)) for row in rows], indent=2) + "\n"
+    else:
+        body = header + "\n" + "".join(",".join(_fmt(v) for v in row) + "\n" for row in rows)
     if args.out:
         suffix = ".json" if getattr(args, "fmt", "csv") == "json" else ".csv"
         path = args.out + suffix
@@ -70,9 +73,10 @@ def _emit_table(header: str, lines: list[str], args, extra_manifest=None) -> Non
             "params": {
                 k: v
                 for k, v in vars(args).items()
-                if k not in ("raw_argv", "func") and not callable(v)
+                if k not in ("raw_argv", "start_time") and not callable(v)
             },
             "master_seed": getattr(args, "seed", None),
+            "stream_contract": STREAM_CONTRACT,
             "version": __version__,
             "duration_s": time.time() - args.start_time,
             "output": path,
@@ -87,27 +91,6 @@ def _emit_table(header: str, lines: list[str], args, extra_manifest=None) -> Non
         sys.stdout.write(body)
 
 
-def _scan_rows_to_lines(rows) -> list[str]:
-    return [
-        ",".join(
-            [
-                row.ensemble,
-                _fmt(row.beta),
-                str(row.n),
-                row.interval,
-                _fmt(row.xi),
-                str(row.m),
-                _fmt(row.mean),
-                _fmt(row.variance),
-                _fmt(row.var_ci_lo),
-                _fmt(row.var_ci_hi),
-                _fmt(row.ref_mean),
-            ]
-        )
-        for row in rows
-    ]
-
-
 def _cmd_scan(args) -> int:
     ensemble = args.command.split("-")[1]
     if args.grid is not None:
@@ -118,7 +101,7 @@ def _cmd_scan(args) -> int:
         xis = default_grid(args.n)
     spec = ScanSpec(ensemble=ensemble, beta=args.beta, n=args.n, xis=xis, center=args.center)
     rows = variance_scan(spec, m=args.samples, seed=args.seed, workers=args.workers)
-    _emit_table(SCAN_HEADER, _scan_rows_to_lines(rows), args, {"grid": list(xis)})
+    _emit_table(SCAN_HEADER, [astuple(row) for row in rows], args, {"grid": list(xis)})
     return 0
 
 
@@ -147,15 +130,9 @@ def _cmd_tail_check(args) -> int:
         seed=args.seed,
         workers=args.workers,
     )
-    lines = [
-        ",".join(
-            [_fmt(r.b), str(r.hits), str(r.m), _fmt(r.empirical), _fmt(r.wilson_hi), _fmt(r.bound)]
-        )
-        for r in result.rows
-    ]
     _emit_table(
         "b,hits,m,empirical,wilson_hi,bound",
-        lines,
+        [astuple(row) for row in result.rows],
         args,
         {"second_moment": result.second_moment},
     )
@@ -170,7 +147,7 @@ def _cmd_semicircle_residual(args) -> int:
         root = math.sqrt(n)
         for factor in _parse_float_list(args.mu_factors):
             mu = factor * root
-            lines.append(",".join([str(n), _fmt(mu), _fmt(semicircle_residual(mu, n))]))
+            lines.append((n, mu, semicircle_residual(mu, n)))
     _emit_table("n,mu,residual", lines, args)
     return 0
 
@@ -179,7 +156,7 @@ def _cmd_oracle_cue(args) -> int:
     grid = _parse_grid(args.grid) if args.grid else tuple(np.linspace(0.0, 2.0 * math.pi, 13))
     # forgive rounded grid endpoints like 6.2832
     clamped = [min(max(L, 0.0), 2.0 * math.pi) for L in grid]
-    lines = [",".join([_fmt(L), _fmt(cue_variance_oracle(args.n, L))]) for L in clamped]
+    lines = [(L, cue_variance_oracle(args.n, L)) for L in clamped]
     _emit_table("arc_length,variance", lines, args)
     return 0
 
@@ -190,13 +167,13 @@ def _cmd_sample(args) -> int:
         for d in range(args.samples):
             draw = sample_verblunsky(args.beta, args.n, RngStream(args.seed, d))
             for p in cbe_points(draw).points:
-                lines.append(f"{d},{_fmt(float(p))}")
+                lines.append((d, float(p)))
         header = "draw,point"
     elif args.ensemble == "sine":
         for d in range(args.samples):
             config = sine_beta_window(args.beta, args.xmax, args.n, RngStream(args.seed, d))
             for p in config.points:
-                lines.append(f"{d},{_fmt(float(p))}")
+                lines.append((d, float(p)))
         header = "draw,point"
     else:
         from scipy.linalg import eigvalsh_tridiagonal
@@ -209,7 +186,7 @@ def _cmd_sample(args) -> int:
                 else np.asarray(model.diag)
             )
             for e in eigs:
-                lines.append(f"{d},{_fmt(float(e))}")
+                lines.append((d, float(e)))
         header = "draw,eigenvalue"
     _emit_table(header, lines, args)
     return 0

@@ -8,7 +8,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .circlemap import AffineAction, LiftedCircleMap, Rotation, _lift_affine, lift_affine
-from .rng import RngStream, chi_sample, gaussian_sample, TWO_PI
+from .rng import RngStream, block_start, chi_sample, gaussian_sample, TWO_PI
 
 # Relative winding distance to an integer below which a sweep count is
 # reported as ill-conditioned instead of silently rounded.
@@ -97,19 +97,37 @@ class CarouselParams:
     lambda_rel: float | None = None
 
 
-def sample_tridiagonal(beta: float, n: int, rng: RngStream) -> TridiagonalModel:
-    """Sample the tridiagonal model of a Gaussian beta ensemble of size n."""
+def _sample_tridiagonal_block(beta: float, n: int, count: int, rng: RngStream):
+    """Sample `count` independent tridiagonal models of size n from one stream.
+
+    The draw order is part of the reproducibility contract: the diagonals
+    (count, n) as N(0, 2/beta), then the off-diagonals (count, n-1) as
+    chi_{beta*(n-p)} / sqrt(beta). Returns (diag (count, n), offdiag
+    (count, n-1)).
+    """
     if beta <= 0:
         raise ValueError(f"beta must be positive, got {beta}")
     if n < 1:
         raise ValueError(f"n must be at least 1, got {n}")
-    diag = gaussian_sample(0.0, math.sqrt(2.0 / beta), rng, size=n)
-    if n == 1:
-        offdiag = np.empty(0)
-    else:
-        dof = beta * (n - np.arange(1, n, dtype=float))
-        offdiag = chi_sample(dof, rng) / math.sqrt(beta)
-    return TridiagonalModel(beta=beta, n=n, diag=np.atleast_1d(diag), offdiag=offdiag)
+    diag = gaussian_sample(0.0, math.sqrt(2.0 / beta), rng, size=(count, n))
+    dof = beta * (n - np.arange(1, n, dtype=float))
+    offdiag = chi_sample(dof, rng, size=(count, n - 1))
+    offdiag /= math.sqrt(beta)
+    return diag, offdiag
+
+
+def sample_tridiagonal(beta: float, n: int, rng: RngStream) -> TridiagonalModel:
+    """Sample the tridiagonal model of a Gaussian beta ensemble of size n: the
+    one-draw case of the block sampler, with the same draw order."""
+    diag, offdiag = _sample_tridiagonal_block(beta, n, 1, rng)
+    return TridiagonalModel(beta=beta, n=n, diag=diag[0], offdiag=offdiag[0])
+
+
+def _stack_models(beta: float, n: int, master_seed: int, indices: np.ndarray):
+    """Sample the block of replicas `indices` (a contiguous range) from the
+    one stream addressed by its first index: (diag (C, n), offdiag (C, n-1))."""
+    rng = RngStream(master_seed, block_start(indices))
+    return _sample_tridiagonal_block(beta, n, len(indices), rng)
 
 
 def conjugate_model(model: TridiagonalModel) -> ConjugatedModel:

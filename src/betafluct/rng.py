@@ -7,6 +7,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
+# Version of the random-stream layout that sampled outputs depend on; bumped
+# whenever the same (seed, flags) would draw different numbers.
+#   v1: one RngStream per replica, addressed by the replica index.
+#   v2: one RngStream per block of replicas, addressed by the index of the
+#       block's first replica; the block's draws are taken as whole arrays.
+STREAM_CONTRACT = 2
+
 
 class RngStream:
     """A reproducible random stream addressed by (master_seed, stream_index).
@@ -71,7 +78,10 @@ def chi_sample(u, rng: RngStream, size=None):
     if np.any(u <= 0):
         raise ValueError("chi degrees of freedom must be positive")
     shape = u / 2.0 if size is None else np.broadcast_to(u / 2.0, size)
-    return np.sqrt(2.0 * rng.generator.standard_gamma(shape))
+    chi = 2.0 * rng.generator.standard_gamma(shape)
+    if np.ndim(chi) == 0:
+        return np.sqrt(chi)
+    return np.sqrt(chi, out=chi)  # in place: block draws are large
 
 
 def beta_1s_sample(s, rng: RngStream, size=None):
@@ -81,6 +91,21 @@ def beta_1s_sample(s, rng: RngStream, size=None):
         raise ValueError("beta parameter s must be positive")
     u = rng.generator.random(size if size is not None else s.shape or None)
     return 1.0 - u ** (1.0 / s)
+
+
+def block_start(indices) -> int:
+    """Stream index of a block of replicas: its first replica index.
+
+    The block must be a contiguous ascending range, so that the block's
+    address and its size together name exactly the replicas it holds.
+    """
+    indices = np.asarray(indices)
+    if indices.ndim != 1 or indices.size == 0:
+        raise ValueError("a block needs a non-empty 1-d range of replica indices")
+    start = int(indices[0])
+    if not np.array_equal(indices, np.arange(start, start + indices.size)):
+        raise ValueError("replica indices of a block must be a contiguous ascending range")
+    return start
 
 
 TWO_PI = 2.0 * math.pi

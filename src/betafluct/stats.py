@@ -10,11 +10,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .circular import _count_arcs_block, _final_phases, _stack_draws
-from .gaussian import _sturm_block, sample_tridiagonal, semicircle_count
+from .gaussian import _stack_models, _sturm_block, semicircle_count
 from .rng import RngStream, TWO_PI
 
 # Replicas are processed in fixed-size blocks and block results merged in
-# index order, so outputs are byte-identical for any worker count.
+# index order, so outputs are byte-identical for any worker count. Each block
+# draws from one stream, so the block size is part of the stream contract.
 BLOCK_SIZE = 2048
 # Stream-index namespace: replicas occupy [0, 2^32); per-row bootstrap
 # streams live above that.
@@ -244,17 +245,6 @@ def _scan_worker(task):
     return acc.m, acc.mean, acc.M2, acc.min, acc.max, offset, hist
 
 
-def _stack_models(beta: float, n: int, master_seed: int, indices: np.ndarray):
-    count = len(indices)
-    diag = np.empty((count, n))
-    offdiag = np.empty((count, max(n - 1, 0)))
-    for row, idx in enumerate(indices):
-        model = sample_tridiagonal(beta, n, RngStream(master_seed, int(idx)))
-        diag[row] = model.diag
-        offdiag[row] = model.offdiag
-    return diag, offdiag
-
-
 def _merge_histograms(parts) -> tuple[np.ndarray, int]:
     """Combine (offset, bincount) pairs into one histogram over count values."""
     lo = min(offset for offset, _ in parts)
@@ -298,40 +288,47 @@ def bootstrap_variance_ci(
     return float(lo), float(hi)
 
 
+def _scan_row_params(spec: ScanSpec, xi: float):
+    """Count arguments (x, lam_lo, lam_hi) and output fields (interval, xi,
+    ref_mean) of the scan row at scale xi."""
+    if spec.ensemble == "gbe":
+        half = 0.5 * xi / math.sqrt(spec.n)
+        lam_lo, lam_hi = spec.center - half, spec.center + half
+        ref_mean = semicircle_count(spec.n, lam_lo, lam_hi)
+        return (0.0, lam_lo, lam_hi), (f"{lam_lo!r}:{lam_hi!r}", min(xi, float(spec.n)), ref_mean)
+    interval = repr(xi / spec.n) if spec.ensemble == "cbe" else repr(float(xi))
+    return (xi, 0.0, 0.0), (interval, float(xi), xi / TWO_PI)
+
+
 def variance_scan(spec: ScanSpec, m: int, seed: int, workers: int = 1) -> list[ScanRow]:
     """Monte Carlo variance of point counts over the scan grid.
 
-    Each grid point draws its own m independent replicas (one RngStream per
-    replica, indexed by row * m + replica), so results are deterministic in
+    Each grid point draws its own m independent replicas, indexed row * m +
+    replica. Replicas are drawn in blocks of BLOCK_SIZE, each from the one
+    RngStream addressed by (seed, index of the block's first replica); see
+    the block samplers for the draw order (stream contract v2; outputs
+    recorded under v1, one stream per replica, no longer reproduce). All
+    (row, block) tasks of the scan run in one call of the block runner and
+    are merged per row in index order, so results are deterministic in
     (seed, grid, m) and identical for any worker count.
     """
     if m < 2:
         raise ValueError(f"need at least 2 replicas, got {m}")
     workers = resolve_workers(workers)
+    params = [_scan_row_params(spec, xi) for xi in spec.xis]
+    blocks = list(_iter_blocks(m))
+    tasks = [
+        (spec.ensemble, spec.beta, spec.n, *count_args, seed, row_idx * m, start, stop)
+        for row_idx, (count_args, _) in enumerate(params)
+        for start, stop in blocks
+    ]
+    results = _run_ordered(_scan_worker, tasks, workers)
     rows = []
-    for row_idx, xi in enumerate(spec.xis):
-        if spec.ensemble == "gbe":
-            half = 0.5 * xi / math.sqrt(spec.n)
-            lam_lo, lam_hi = spec.center - half, spec.center + half
-            x = 0.0
-            interval = f"{lam_lo!r}:{lam_hi!r}"
-            xi_out = min(xi, float(spec.n))
-            ref_mean = semicircle_count(spec.n, lam_lo, lam_hi)
-        else:
-            x = xi
-            lam_lo = lam_hi = 0.0
-            interval = repr(xi / spec.n) if spec.ensemble == "cbe" else repr(float(xi))
-            xi_out = float(xi)
-            ref_mean = xi / TWO_PI
-        base = row_idx * m
-        tasks = [
-            (spec.ensemble, spec.beta, spec.n, x, lam_lo, lam_hi, seed, base, start, stop)
-            for start, stop in _iter_blocks(m)
-        ]
-        results = _run_ordered(_scan_worker, tasks, workers)
+    for row_idx, (_, (interval, xi_out, ref_mean)) in enumerate(params):
         acc = MomentAccumulator()
         hist_parts = []
-        for m_blk, mean, m2, mn, mx, offset, hist in results:
+        row_results = results[row_idx * len(blocks) : (row_idx + 1) * len(blocks)]
+        for m_blk, mean, m2, mn, mx, offset, hist in row_results:
             blk = MomentAccumulator()
             blk.m, blk.mean, blk.M2, blk.min, blk.max = m_blk, mean, m2, mn, mx
             acc.merge_in(blk)

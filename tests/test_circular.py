@@ -53,6 +53,42 @@ def test_verblunsky_first_coefficient_mean():
     assert abs(np.mean(np.abs(gamma[:, 0]) ** 2) - 1.0 / 11.0) < 0.005
 
 
+@pytest.mark.parametrize("beta", (0.5, 1.0, 4.0))
+def test_block_sampler_coefficient_laws(beta):
+    # per column j: |gamma_j|^2 ~ Beta(1, beta*(n-j-1)/2) and the argument is
+    # uniform; eta is uniform. Three blocks, each from its own stream, are
+    # pooled as a scan pools them.
+    n, block, blocks = 6, 2048, 3
+    parts = [
+        _stack_draws(beta, n, 80, np.arange(s, s + block))
+        for s in range(0, blocks * block, block)
+    ]
+    gamma = np.concatenate([g for g, _ in parts])
+    eta = np.concatenate([e for _, e in parts])
+    for j in range(n - 1):
+        s = 0.5 * beta * (n - j - 1)
+        assert kstest(np.abs(gamma[:, j]) ** 2, "beta", args=(1.0, s)).pvalue > 1e-4
+        angles = np.mod(np.angle(gamma[:, j]), TWO_PI) / TWO_PI
+        assert kstest(angles, "uniform").pvalue > 1e-4
+    assert kstest(eta / TWO_PI, "uniform").pvalue > 1e-4
+
+
+def test_stack_draws_block_addressing():
+    idx = np.arange(4096, 4096 + 300)
+    g1, e1 = _stack_draws(1.5, 12, 81, idx)
+    g2, e2 = _stack_draws(1.5, 12, 81, idx)
+    assert np.array_equal(g1, g2) and np.array_equal(e1, e2)
+    g3, _ = _stack_draws(1.5, 12, 81, idx + 1)
+    assert not np.any(g1 == g3)
+    # the one-draw sampler is the one-replica block at the same address
+    draw = sample_verblunsky(1.5, 12, RngStream(81, 4096))
+    g4, e4 = _stack_draws(1.5, 12, 81, np.arange(4096, 4097))
+    assert np.array_equal(draw.gamma, g4[0]) and draw.eta == e4[0]
+    for bad in ([0, 2, 3], [3, 2, 1], [], [[0, 1], [2, 3]]):
+        with pytest.raises(ValueError):
+            _stack_draws(1.5, 12, 81, np.array(bad, dtype=np.int64))
+
+
 def test_prufer_zero_coefficients_linear():
     draw = _zero_draw(10, 1.0)
     for k in (0, 3, 9):

@@ -51,6 +51,8 @@ def test_scan_cbe_schema_and_reproducibility(tmp_path):
     assert manifest["command"] == "scan-cbe"
     assert manifest["master_seed"] == 3
     assert "duration_s" in manifest and "version" in manifest
+    assert manifest["stream_contract"] == 2
+    assert "start_time" not in manifest["params"]
     assert manifest["grid"][0] == 1.0
 
 
@@ -83,6 +85,11 @@ def test_json_format(tmp_path):
     rows = json.load(open(out + ".json"))
     assert len(rows) == 3
     assert rows[0]["ensemble"] == "cbe"
+    for row in rows:
+        assert isinstance(row["interval"], str)
+        assert type(row["n"]) is int and type(row["m"]) is int
+        for key in ("beta", "xi", "mean", "variance", "var_ci_lo", "var_ci_hi", "ref_mean"):
+            assert type(row[key]) is float
 
 
 def test_tail_check_output(tmp_path):

@@ -68,6 +68,43 @@ def test_offdiag_second_moment():
     assert abs(mean_sq - (n - 1)) < 0.25  # 5 sigma: Var = 2(n-1)/beta
 
 
+@pytest.mark.parametrize("beta", (0.5, 1.0, 4.0))
+def test_block_sampler_moments(beta):
+    # diag entries N(0, 2/beta); offdiag_p^2 = chi^2_{beta(n-p)} / beta has
+    # mean n - p and variance 2(n-p)/beta. Three blocks pooled as in a scan;
+    # every tolerance is 5 standard errors.
+    n, block, blocks = 8, 2048, 3
+    parts = [
+        _stack_models(beta, n, 82, np.arange(s, s + block))
+        for s in range(0, blocks * block, block)
+    ]
+    diag = np.concatenate([d for d, _ in parts])
+    offdiag = np.concatenate([o for _, o in parts])
+    m = diag.shape[0]
+    target = 2.0 / beta
+    assert abs(np.mean(diag)) < 5.0 * math.sqrt(target / diag.size)
+    assert abs(np.mean(diag**2) - target) < 5.0 * target * math.sqrt(2.0 / diag.size)
+    for p in range(1, n):
+        sq = offdiag[:, p - 1] ** 2
+        assert abs(np.mean(sq) - (n - p)) < 5.0 * math.sqrt(2.0 * (n - p) / beta / m)
+
+
+def test_stack_models_block_addressing():
+    idx = np.arange(2048, 2048 + 300)
+    d1, o1 = _stack_models(1.5, 12, 83, idx)
+    d2, o2 = _stack_models(1.5, 12, 83, idx)
+    assert np.array_equal(d1, d2) and np.array_equal(o1, o2)
+    d3, _ = _stack_models(1.5, 12, 83, idx + 1)
+    assert not np.any(d1 == d3)
+    # the one-draw sampler is the one-replica block at the same address
+    model = sample_tridiagonal(1.5, 12, RngStream(83, 2048))
+    d4, o4 = _stack_models(1.5, 12, 83, np.arange(2048, 2049))
+    assert np.array_equal(model.diag, d4[0]) and np.array_equal(model.offdiag, o4[0])
+    for bad in ([0, 2, 3], [3, 2, 1], [], [[0, 1], [2, 3]]):
+        with pytest.raises(ValueError):
+            _stack_models(1.5, 12, 83, np.array(bad, dtype=np.int64))
+
+
 def test_spectral_histogram_semicircle():
     n, draws = 512, 400
     edges = np.linspace(-2.0, 2.0, 41)

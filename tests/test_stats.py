@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy.stats import norm, spearmanr
 
+from betafluct.cli import main
 from betafluct.rng import RngStream, gaussian_sample
 from betafluct.stats import (
     BoundFit,
@@ -144,6 +145,41 @@ def test_scan_worker_invariance():
     baseline = variance_scan(spec, m=2000, seed=66, workers=1)
     for workers in (4, 16):
         assert variance_scan(spec, m=2000, seed=66, workers=workers) == baseline
+
+
+def test_scan_runs_all_rows_in_one_pool(monkeypatch):
+    import betafluct.stats as stats
+
+    real = stats.ProcessPoolExecutor
+    started = []
+
+    def counting(*args, **kwargs):
+        started.append(kwargs.get("max_workers"))
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(stats, "ProcessPoolExecutor", counting)
+    spec = ScanSpec("cbe", 2.0, 16, (1.0, 4.0, 8.0))
+    rows = variance_scan(spec, m=2500, seed=72, workers=2)
+    assert started == [2]
+    monkeypatch.setattr(stats, "ProcessPoolExecutor", real)
+    assert rows == variance_scan(spec, m=2500, seed=72, workers=1)
+
+
+def test_cli_bytes_equal_at_one_and_two_workers(tmp_path):
+    # several rows of several blocks each, so the one-pool task list spans
+    # rows and the per-row merge has to restore the order
+    cases = {
+        "scan-cbe": ["scan-cbe", "--n", "32", "--samples", "5000", "--seed", "73",
+                     "--grid", "geom:1:16:3"],
+        "tail-check": ["tail-check", "--n", "30", "--samples", "5000", "--seed", "74"],
+    }
+    for name, args in cases.items():
+        outputs = []
+        for workers in ("1", "2"):
+            out = str(tmp_path / f"{name}-w{workers}")
+            assert main(args + ["--workers", workers, "--out", out]) == 0
+            outputs.append(open(out + ".csv", "rb").read())
+        assert outputs[0] == outputs[1]
 
 
 def test_scan_validation():
