@@ -7,7 +7,7 @@ reproducible Monte Carlo variance scans against the known logarithmic
 growth of the number variance.
 """
 
-from .rng import RngStream, DistParams, gaussian_sample, chi_sample, beta_1s_sample
+from .rng import RngStream, gaussian_sample, chi_sample, beta_1s_sample
 from .circular import (
     VerblunskyDraw,
     PruferEvaluation,
@@ -18,7 +18,7 @@ from .circular import (
     cbe_points,
     sine_beta_window,
 )
-from .circlemap import Rotation, AffineAction, LiftedCircleMap, lift_affine, angular_shift
+from .circlemap import AffineAction, LiftedCircleMap, lift_affine, angular_shift
 from .gaussian import (
     TridiagonalModel,
     ConjugatedModel,
@@ -28,7 +28,6 @@ from .gaussian import (
     sample_tridiagonal,
     conjugate_model,
     sturm_count,
-    transfer_map,
     phase_sweep,
     carousel_params,
     semicircle_count,
@@ -38,13 +37,10 @@ from .gaussian import (
     verify_counts,
 )
 from .stats import (
-    MomentAccumulator,
     ScanSpec,
     ScanRow,
     BoundFit,
     TailCheckResult,
-    accumulate,
-    merge,
     cue_variance_oracle,
     default_grid,
     variance_scan,

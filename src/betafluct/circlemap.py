@@ -1,4 +1,4 @@
-"""Lifted circle homeomorphisms built from rotations and affine actions.
+"""Lifted circle homeomorphisms built from affine actions.
 
 The projective line is identified with the unit circle by the Cayley
 transform r -> (i - r)/(i + r), under which r = tan(x/2) corresponds to the
@@ -10,7 +10,6 @@ i.e. the circle point -1).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -43,19 +42,6 @@ def lift_affine(x, a, b):
     if np.isscalar(x) and np.isscalar(a) and np.isscalar(b):
         return float(out)
     return out
-
-
-@dataclass(frozen=True)
-class Rotation:
-    """Lift of the rotation by theta: x -> x + theta."""
-
-    theta: float
-
-    def apply(self, x):
-        return x + self.theta
-
-    def inverse(self) -> "Rotation":
-        return Rotation(-self.theta)
 
 
 @dataclass(frozen=True)
@@ -92,9 +78,6 @@ class LiftedCircleMap:
     def inverse(self) -> "LiftedCircleMap":
         return LiftedCircleMap(tuple(step.inverse() for step in reversed(self.steps)))
 
-    def then(self, other: "LiftedCircleMap") -> "LiftedCircleMap":
-        return LiftedCircleMap(self.steps + other.steps)
-
 
 def angular_shift(mapping, x, y):
     """Deviation of a lifted map from a rigid rotation between two angles:
@@ -102,8 +85,3 @@ def angular_shift(mapping, x, y):
     """
     return (mapping(y) - mapping(x)) - (y - x)
 
-
-def principal_angle(x: float) -> float:
-    """Reduce an angle to the (-pi, pi] branch."""
-    r = math.remainder(x, TWO_PI)
-    return r if r != -math.pi else math.pi

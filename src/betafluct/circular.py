@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -43,7 +43,6 @@ class PruferEvaluation:
     a: float
     k: int
     psi: float
-    trajectory: np.ndarray | None = field(default=None, repr=False)
 
 
 @dataclass(frozen=True)
@@ -127,8 +126,7 @@ def _final_phases(gamma: np.ndarray, thetas: np.ndarray, a: float = 0.0) -> np.n
 
 
 def prufer_evaluate(
-    draw: VerblunskyDraw, theta: float, a: float = 0.0, k: int | None = None,
-    keep_trajectory: bool = False,
+    draw: VerblunskyDraw, theta: float, a: float = 0.0, k: int | None = None
 ) -> PruferEvaluation:
     """Evaluate the Prufer phase psi_k(theta, a), with psi_0 = theta + a.
 
@@ -139,22 +137,8 @@ def prufer_evaluate(
         k = draw.n - 1
     if not 0 <= k <= draw.n - 1:
         raise ValueError(f"depth k must lie in [0, {draw.n - 1}], got {k}")
-    g = draw.gamma[:k]
-    if not keep_trajectory:
-        psi = _final_phases(g.reshape(1, -1), np.array([theta]), a)[0, 0] if k else theta + a
-        return PruferEvaluation(theta=theta, a=a, k=k, psi=float(psi))
-    traj = np.empty(k + 1)
-    traj[0] = theta + a
-    g_re, g_im = g.real, g.imag
-    ang0 = np.arctan2(-g_im, 1.0 - g_re)
-    for j in range(k):
-        traj[j + 1] = _phase_step(traj[j], theta, g_re[j], g_im[j], ang0[j])
-    return PruferEvaluation(theta=theta, a=a, k=k, psi=float(traj[-1]), trajectory=traj)
-
-
-def _lattice_count(psi, eta):
-    """Number of lattice values eta + 2*pi*m inside the phase interval (0, psi]."""
-    return np.floor((psi - eta) / TWO_PI).astype(np.int64) - int(math.floor(-eta / TWO_PI))
+    psi = _final_phases(draw.gamma[None, :k], np.array([theta]), a)[0, 0]
+    return PruferEvaluation(theta=theta, a=a, k=k, psi=float(psi))
 
 
 def count_arc(draw: VerblunskyDraw, x: float) -> int:
@@ -168,10 +152,8 @@ def count_arc(draw: VerblunskyDraw, x: float) -> int:
     """
     if not 0.0 <= x < TWO_PI * draw.n:
         raise ValueError(f"x must lie in [0, 2*pi*n), got {x}")
-    if x == 0.0:
-        return 0
-    psi = _final_phases(draw.gamma.reshape(1, -1), np.array([x / draw.n]))[0, 0]
-    return int(_lattice_count(psi, draw.eta))
+    counts = _count_arcs_block(draw.gamma[None, :], np.array([draw.eta]), draw.n, np.array([x]))
+    return int(counts[0, 0])
 
 
 def _bisect_phase(gamma: np.ndarray, targets: np.ndarray, hi: float, iterations: int = 60) -> np.ndarray:

@@ -137,7 +137,10 @@ def _cmd_tail_check(args) -> int:
         {"second_moment": result.second_moment},
     )
     if not args.out:
-        print(f"second moment of (psi - a): {result.second_moment:.6g} (bound 3500)")
+        # on stderr, so that stdout holds only the table
+        print(
+            f"second moment of (psi - a): {result.second_moment:.6g} (bound 3500)", file=sys.stderr
+        )
     return 0
 
 

@@ -7,8 +7,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .circlemap import AffineAction, LiftedCircleMap, Rotation, _lift_affine, lift_affine
-from .rng import RngStream, block_start, chi_sample, gaussian_sample, TWO_PI
+from .circlemap import AffineAction, LiftedCircleMap, _lift_affine, lift_affine
+from .rng import BLOCK_SIZE, RngStream, block_start, chi_sample, gaussian_sample, TWO_PI
 
 # Relative winding distance to an integer below which a sweep count is
 # reported as ill-conditioned instead of silently rounded.
@@ -36,9 +36,6 @@ class TridiagonalModel:
         if len(self.diag) != self.n or len(self.offdiag) != self.n - 1:
             raise ValueError("inconsistent band lengths")
 
-    def shifted(self, c: float) -> "TridiagonalModel":
-        return TridiagonalModel(self.beta, self.n, self.diag + c, self.offdiag)
-
 
 @dataclass(frozen=True)
 class ConjugatedModel:
@@ -53,16 +50,15 @@ class ConjugatedModel:
     n: int
     s: np.ndarray  # s_0..s_{n-1}; the last value only pads the final transfer map
     X: np.ndarray
-    Y: np.ndarray  # length n-1
+    Y: np.ndarray  # length n; Y[n-1] = 0 pads the final transfer map
 
     def superdiag(self) -> np.ndarray:
-        return self.s[:-1] + self.Y
+        return self.s[:-1] + self.Y[:-1]
 
     def transfer_params(self, ell: int) -> tuple[float, float, float]:
         """(s_ell, scale, shift) of the random factor of the ell-th transfer map."""
         s = self.s[ell]
-        y = self.Y[ell] if ell < self.n - 1 else 0.0
-        return s, s / (s + y), -self.X[ell] / s
+        return s, s / (s + self.Y[ell]), -self.X[ell] / s
 
 
 @dataclass(frozen=True)
@@ -130,18 +126,29 @@ def _stack_models(beta: float, n: int, master_seed: int, indices: np.ndarray):
     return _sample_tridiagonal_block(beta, n, len(indices), rng)
 
 
+def _conjugate_block(offdiag: np.ndarray):
+    """Pinned subdiagonal s (n,) and fluctuation Y (C, n) of stacked draws.
+
+    s_p = sqrt(n - p - 1/2) and Y_p = offdiag_{p+1}^2 / s_{p+1} - s_p for
+    p < n-1; Y_{n-1} = 0 pads the final transfer map.
+    """
+    n = offdiag.shape[1] + 1
+    s = np.sqrt(n - np.arange(n, dtype=float) - 0.5)
+    y = np.zeros((offdiag.shape[0], n))
+    y[:, : n - 1] = offdiag**2 / s[1:] - s[:-1]
+    return s, y
+
+
 def conjugate_model(model: TridiagonalModel) -> ConjugatedModel:
     """Conjugate by the diagonal similarity that pins the subdiagonal to s.
 
     The similarity leaves the spectrum unchanged; Y absorbs the fluctuation
     of the off-diagonal entries around s.
     """
-    n = model.n
-    if n > 1 and np.any(model.offdiag <= 0):
+    if model.n > 1 and np.any(model.offdiag <= 0):
         raise ValueError("off-diagonal entries must be positive to conjugate")
-    s = np.sqrt(n - np.arange(n, dtype=float) - 0.5)
-    y = model.offdiag**2 / s[1:] - s[:-1] if n > 1 else np.empty(0)
-    return ConjugatedModel(n=n, s=s, X=model.diag.copy(), Y=y)
+    s, y = _conjugate_block(model.offdiag[None, :])
+    return ConjugatedModel(n=model.n, s=s, X=model.diag.copy(), Y=y[0])
 
 
 def sturm_count(model: TridiagonalModel, lam) -> int | np.ndarray:
@@ -157,7 +164,8 @@ def sturm_count(model: TridiagonalModel, lam) -> int | np.ndarray:
 
 
 def _sturm_block(diag: np.ndarray, offdiag: np.ndarray, lams: np.ndarray) -> np.ndarray:
-    """Vectorized pivot counts: diag (C, n), offdiag (C, n-1), lams (K,) -> (C, K)."""
+    """Vectorized pivot counts: diag (C, n), offdiag (C, n-1), lams (K,) shared
+    by all draws or (C, K) one row per draw -> (C, K)."""
     n = diag.shape[1]
     tiny = np.finfo(float).eps * (1.0 + np.abs(lams))
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
@@ -169,19 +177,6 @@ def _sturm_block(diag: np.ndarray, offdiag: np.ndarray, lams: np.ndarray) -> np.
             d = np.where(d == 0.0, -tiny, d)
             neg += d < 0
     return neg
-
-
-def transfer_map(model: ConjugatedModel, ell: int, lam: float) -> LiftedCircleMap:
-    """Lifted transfer map carrying the eigenvector ratio at row ell for
-    spectral parameter lam: rotation by pi, then r -> r + lam/s_ell, then the
-    draw-dependent affine factor.
-    """
-    if not 0 <= ell <= model.n - 1:
-        raise ValueError(f"ell must lie in [0, {model.n - 1}], got {ell}")
-    s, scale, shift = model.transfer_params(ell)
-    if scale <= 0:
-        raise ValueError("degenerate conjugated row: non-positive affine scale")
-    return LiftedCircleMap((Rotation(math.pi), AffineAction(1.0, lam / s), AffineAction(scale, shift)))
 
 
 def _sweep_forward(X, s, Y, lams, ell):
@@ -217,16 +212,19 @@ def _sweep_backward(X, s, Y, lams, ell):
     return phi
 
 
-def _pad_y(model: ConjugatedModel) -> np.ndarray:
-    return np.concatenate([model.Y, [0.0]])
-
-
 def _sweep_phases(model: ConjugatedModel, lams, ell: int):
-    X = model.X[None, :]
-    Y = _pad_y(model)[None, :]
+    X, Y = model.X[None, :], model.Y[None, :]
     fwd = _sweep_forward(X, model.s, Y, lams, ell)[0]
     bwd = _sweep_backward(X, model.s, Y, lams, ell)[0]
     return fwd, bwd
+
+
+def _winding_counts(fwd, bwd):
+    """Count floor((fwd - bwd) / 2pi) and whether that winding lies within
+    NEAR_DEGENERATE_TOL of an integer (an ill-conditioned count)."""
+    winding = (fwd - bwd) / TWO_PI
+    flags = np.abs(winding - np.round(winding)) < NEAR_DEGENERATE_TOL
+    return np.floor(winding).astype(np.int64), flags
 
 
 def phase_sweep(model: ConjugatedModel, lam: float, ell: int | None = None) -> PhaseSweep:
@@ -242,30 +240,25 @@ def phase_sweep(model: ConjugatedModel, lam: float, ell: int | None = None) -> P
     if not 0 <= ell <= model.n:
         raise ValueError(f"ell must lie in [0, {model.n}], got {ell}")
     fwd, bwd = _sweep_phases(model, np.array([lam], dtype=float), ell)
-    winding = (fwd[0] - bwd[0]) / TWO_PI
-    flagged = bool(abs(winding - round(winding)) < NEAR_DEGENERATE_TOL)
+    count, flagged = _winding_counts(fwd, bwd)
     return PhaseSweep(
         ell=ell,
         lam=float(lam),
         phi_fwd=float(fwd[0]),
         phi_bwd=float(bwd[0]),
-        count=int(math.floor(winding)),
-        flagged=flagged,
+        count=int(count[0]),
+        flagged=bool(flagged[0]),
     )
 
 
 def _sweep_counts_block(diag, offdiag, lams, ell=0):
-    """Sweep counts and flags for stacked tridiagonal draws: (C, K) each."""
-    n = diag.shape[1]
-    s = np.sqrt(n - np.arange(n, dtype=float) - 0.5)
-    y = np.empty_like(diag)
-    y[:, : n - 1] = offdiag**2 / s[1:] - s[:-1]
-    y[:, n - 1] = 0.0
+    """Sweep counts and flags for stacked tridiagonal draws: (C, K) each.
+
+    lams is (K,) shared by all draws or (C, K), one row per draw.
+    """
+    s, y = _conjugate_block(offdiag)
     fwd = _sweep_forward(diag, s, y, lams, ell)
-    bwd = _sweep_backward(diag, s, y, lams, ell)
-    winding = (fwd - bwd) / TWO_PI
-    flags = np.abs(winding - np.round(winding)) < NEAR_DEGENERATE_TOL
-    return np.floor(winding).astype(np.int64), flags
+    return _winding_counts(fwd, _sweep_backward(diag, s, y, lams, ell))
 
 
 def _strict_int_part(x: float) -> int:
@@ -354,6 +347,28 @@ class CrossCountReport:
         return self.flagged / self.evaluations if self.evaluations else 0.0
 
 
+def _cross_count_chunks(beta: float, n: int, draws: int, lams_per_draw: int, seed: int, ell: int):
+    """Both eigenvalue counters on random draws, BLOCK_SIZE draws at a time.
+
+    Draw d and its lams_per_draw uniform spectral points covering the
+    spectrum come from RngStream(seed, d). Yields, per chunk, the stacked
+    (diag, offdiag, lams) with one row per draw, the sweep counts and flags,
+    and the Sturm counts, each (C, lams_per_draw).
+    """
+    half_width = 2.0 * math.sqrt(n) + 2.0
+    for start in range(0, draws, BLOCK_SIZE):
+        size = min(BLOCK_SIZE, draws - start)
+        diag, offdiag = np.empty((size, n)), np.empty((size, n - 1))
+        lams = np.empty((size, lams_per_draw))
+        for row in range(size):
+            rng = RngStream(seed, start + row)
+            model = sample_tridiagonal(beta, n, rng)
+            diag[row], offdiag[row] = model.diag, model.offdiag
+            lams[row] = rng.generator.uniform(-half_width, half_width, lams_per_draw)
+        sweep, flags = _sweep_counts_block(diag, offdiag, lams, ell)
+        yield diag, offdiag, lams, sweep, flags, _sturm_block(diag, offdiag, lams)
+
+
 def verify_counts(
     beta: float,
     n: int,
@@ -372,20 +387,11 @@ def verify_counts(
         raise ValueError("draws and lams_per_draw must be positive")
     if ell is None:
         ell = n // 2
-    half_width = 2.0 * math.sqrt(n) + 2.0
     mismatches = 0
     flagged = 0
-    for d in range(draws):
-        rng = RngStream(seed, d)
-        model = sample_tridiagonal(beta, n, rng)
-        lams = rng.generator.uniform(-half_width, half_width, lams_per_draw)
-        sweep_counts, flags = _sweep_counts_block(
-            model.diag[None, :], model.offdiag[None, :], lams, ell
-        )
-        sturm_counts = _sturm_block(model.diag[None, :], model.offdiag[None, :], lams)
-        ok = np.asarray(flags[0])
-        mismatches += int(np.sum((sweep_counts[0] != sturm_counts[0]) & ~ok))
-        flagged += int(np.sum(ok))
+    for *_, sweep, flags, sturm in _cross_count_chunks(beta, n, draws, lams_per_draw, seed, ell):
+        mismatches += int(np.sum((sweep != sturm) & ~flags))
+        flagged += int(np.sum(flags))
     return CrossCountReport(
         beta=beta,
         n=n,

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -13,6 +12,10 @@ import numpy as np
 #   v2: one RngStream per block of replicas, addressed by the index of the
 #       block's first replica; the block's draws are taken as whole arrays.
 STREAM_CONTRACT = 2
+# Replicas are drawn and processed in blocks of this many consecutive
+# indices, each block from one stream, so the block size is part of the
+# stream contract.
+BLOCK_SIZE = 2048
 
 
 class RngStream:
@@ -37,28 +40,6 @@ class RngStream:
 
     def __repr__(self) -> str:
         return f"RngStream(master_seed={self.master_seed}, stream_index={self.stream_index})"
-
-
-@dataclass(frozen=True)
-class DistParams:
-    """Validated parameter record for the sampling primitives.
-
-    u: chi degrees of freedom (> 0), s: second Beta parameter (> 0),
-    mean/sd: Gaussian location and scale (sd >= 0).
-    """
-
-    u: float = 1.0
-    s: float = 1.0
-    mean: float = 0.0
-    sd: float = 1.0
-
-    def __post_init__(self):
-        if self.u <= 0:
-            raise ValueError(f"chi degrees of freedom must be positive, got {self.u}")
-        if self.s <= 0:
-            raise ValueError(f"beta parameter s must be positive, got {self.s}")
-        if self.sd < 0:
-            raise ValueError(f"standard deviation must be non-negative, got {self.sd}")
 
 
 def gaussian_sample(mean, sd, rng: RngStream, size=None):

@@ -1,4 +1,4 @@
-"""Streaming count statistics, exact beta=2 oracle, and variance scans."""
+"""Count statistics, exact beta=2 oracle, and variance scans."""
 
 from __future__ import annotations
 
@@ -11,84 +11,13 @@ import numpy as np
 
 from .circular import _count_arcs_block, _final_phases, _stack_draws
 from .gaussian import _stack_models, _sturm_block, semicircle_count
-from .rng import RngStream, TWO_PI
+from .rng import BLOCK_SIZE, RngStream, TWO_PI
 
-# Replicas are processed in fixed-size blocks and block results merged in
-# index order, so outputs are byte-identical for any worker count. Each block
-# draws from one stream, so the block size is part of the stream contract.
-BLOCK_SIZE = 2048
 # Stream-index namespace: replicas occupy [0, 2^32); per-row bootstrap
 # streams live above that.
 _BOOTSTRAP_STREAM_BASE = 1 << 32
 BOOTSTRAP_RESAMPLES = 1000
 _WILSON_Z = 1.959963984540054  # 95%
-
-
-class MomentAccumulator:
-    """Single-pass mean/variance accumulator with an associative merge."""
-
-    __slots__ = ("m", "mean", "M2", "min", "max")
-
-    def __init__(self):
-        self.m = 0
-        self.mean = 0.0
-        self.M2 = 0.0
-        self.min = math.inf
-        self.max = -math.inf
-
-    def add(self, x: float) -> None:
-        self.m += 1
-        delta = x - self.mean
-        self.mean += delta / self.m
-        self.M2 += delta * (x - self.mean)
-        self.min = min(self.min, x)
-        self.max = max(self.max, x)
-
-    @classmethod
-    def from_values(cls, values) -> "MomentAccumulator":
-        acc = cls()
-        values = np.asarray(values, dtype=float)
-        if values.size == 0:
-            return acc
-        acc.m = int(values.size)
-        acc.mean = float(values.mean())
-        acc.M2 = float(np.sum((values - acc.mean) ** 2))
-        acc.min = float(values.min())
-        acc.max = float(values.max())
-        return acc
-
-    @property
-    def variance(self) -> float:
-        return self.M2 / (self.m - 1) if self.m >= 2 else 0.0
-
-    def merge_in(self, other: "MomentAccumulator") -> None:
-        if other.m == 0:
-            return
-        if self.m == 0:
-            self.m, self.mean, self.M2 = other.m, other.mean, other.M2
-            self.min, self.max = other.min, other.max
-            return
-        total = self.m + other.m
-        delta = other.mean - self.mean
-        self.mean += delta * other.m / total
-        self.M2 += other.M2 + delta * delta * self.m * other.m / total
-        self.m = total
-        self.min = min(self.min, other.min)
-        self.max = max(self.max, other.max)
-
-
-def accumulate(acc: MomentAccumulator, sample: float) -> MomentAccumulator:
-    """Fold one sample into the accumulator (returned for chaining)."""
-    acc.add(sample)
-    return acc
-
-
-def merge(a: MomentAccumulator, b: MomentAccumulator) -> MomentAccumulator:
-    """Combine two accumulators as if their samples had been seen in one pass."""
-    out = MomentAccumulator()
-    out.merge_in(a)
-    out.merge_in(b)
-    return out
 
 
 def cue_variance_oracle(n: int, arc_length: float) -> float:
@@ -208,9 +137,10 @@ def resolve_workers(requested: int | None) -> int:
 
 
 # ----------------------------------------------------------------------
-# Block execution. Tasks must stay picklable (module-level worker, plain
-# tuples) so the process pool can run them; results are merged in task
-# order, independent of the worker count.
+# Block execution. Replicas are processed in blocks of BLOCK_SIZE. Tasks must
+# stay picklable (module-level worker, plain tuples) so the process pool can
+# run them; results are merged in task order, so outputs are byte-identical
+# for any worker count.
 
 
 def _iter_blocks(m: int):
@@ -238,11 +168,10 @@ def _scan_counts(task) -> np.ndarray:
 
 
 def _scan_worker(task):
+    """(offset, bincount) histogram of one block's counts."""
     counts = _scan_counts(task)
-    acc = MomentAccumulator.from_values(counts)
-    hist = np.bincount(counts - counts.min()) if counts.size else np.empty(0, dtype=np.int64)
-    offset = int(counts.min()) if counts.size else 0
-    return acc.m, acc.mean, acc.M2, acc.min, acc.max, offset, hist
+    offset = int(counts.min())
+    return offset, np.bincount(counts - offset)
 
 
 def _merge_histograms(parts) -> tuple[np.ndarray, int]:
@@ -253,6 +182,16 @@ def _merge_histograms(parts) -> tuple[np.ndarray, int]:
     for offset, hist in parts:
         merged[offset - lo : offset - lo + len(hist)] += hist
     return merged, lo
+
+
+def _histogram_moments(values: np.ndarray, weights: np.ndarray) -> tuple[int, float, float]:
+    """(m, mean, sample variance) of integer data given as distinct values with
+    multiplicities. The power sums are exact integers, so both moments are
+    correctly rounded."""
+    m = int(weights.sum())
+    s1 = int(np.dot(values, weights))
+    s2 = int(np.dot(values * values, weights))
+    return m, s1 / m, (m * s2 - s1 * s1) / (m * (m - 1))
 
 
 def bootstrap_variance_ci(
@@ -301,7 +240,7 @@ def _scan_row_params(spec: ScanSpec, xi: float):
 
 
 def variance_scan(spec: ScanSpec, m: int, seed: int, workers: int = 1) -> list[ScanRow]:
-    """Monte Carlo variance of point counts over the scan grid.
+    """Monte Carlo mean and variance of point counts over the scan grid.
 
     Each grid point draws its own m independent replicas, indexed row * m +
     replica. Replicas are drawn in blocks of BLOCK_SIZE, each from the one
@@ -310,7 +249,9 @@ def variance_scan(spec: ScanSpec, m: int, seed: int, workers: int = 1) -> list[S
     recorded under v1, one stream per replica, no longer reproduce). All
     (row, block) tasks of the scan run in one call of the block runner and
     are merged per row in index order, so results are deterministic in
-    (seed, grid, m) and identical for any worker count.
+    (seed, grid, m) and identical for any worker count. A row's mean and
+    variance come from its merged count histogram, which its bootstrap also
+    resamples.
     """
     if m < 2:
         raise ValueError(f"need at least 2 replicas, got {m}")
@@ -325,18 +266,12 @@ def variance_scan(spec: ScanSpec, m: int, seed: int, workers: int = 1) -> list[S
     results = _run_ordered(_scan_worker, tasks, workers)
     rows = []
     for row_idx, (_, (interval, xi_out, ref_mean)) in enumerate(params):
-        acc = MomentAccumulator()
-        hist_parts = []
-        row_results = results[row_idx * len(blocks) : (row_idx + 1) * len(blocks)]
-        for m_blk, mean, m2, mn, mx, offset, hist in row_results:
-            blk = MomentAccumulator()
-            blk.m, blk.mean, blk.M2, blk.min, blk.max = m_blk, mean, m2, mn, mx
-            acc.merge_in(blk)
-            hist_parts.append((offset, hist))
-        hist, lo = _merge_histograms(hist_parts)
+        hist, lo = _merge_histograms(results[row_idx * len(blocks) : (row_idx + 1) * len(blocks)])
         support = np.nonzero(hist)[0]
+        values, weights = support + lo, hist[support]
+        row_m, mean, variance = _histogram_moments(values, weights)
         ci_lo, ci_hi = bootstrap_variance_ci(
-            support + lo, hist[support], RngStream(seed, _BOOTSTRAP_STREAM_BASE + row_idx)
+            values, weights, RngStream(seed, _BOOTSTRAP_STREAM_BASE + row_idx)
         )
         rows.append(
             ScanRow(
@@ -345,9 +280,9 @@ def variance_scan(spec: ScanSpec, m: int, seed: int, workers: int = 1) -> list[S
                 n=spec.n,
                 interval=interval,
                 xi=xi_out,
-                m=acc.m,
-                mean=acc.mean,
-                variance=acc.variance,
+                m=row_m,
+                mean=mean,
+                variance=variance,
                 var_ci_lo=ci_lo,
                 var_ci_hi=ci_hi,
                 ref_mean=float(ref_mean),

@@ -16,12 +16,9 @@ from scipy.linalg import eigvalsh_tridiagonal
 from betafluct.cli import main
 from betafluct.gaussian import (
     carousel_params,
-    sample_tridiagonal,
     semicircle_residual,
-    _sturm_block,
-    _sweep_counts_block,
+    _cross_count_chunks,
 )
-from betafluct.rng import RngStream
 from betafluct.stats import (
     ScanSpec,
     cue_variance_oracle,
@@ -59,27 +56,17 @@ def test_criterion_1_cross_oracle_counts():
     evaluations = 0
     for beta in (0.5, 1.0, 2.0, 4.0):
         for n in (8, 32, 64, 200):
-            draws = 100
-            diag = np.empty((draws, n))
-            offdiag = np.empty((draws, max(n - 1, 0)))
-            lams = np.empty((draws, 50))
-            half_width = 2.0 * math.sqrt(n) + 2.0
-            for d in range(draws):
-                rng = RngStream(101, d)
-                model = sample_tridiagonal(beta, n, rng)
-                diag[d] = model.diag
-                offdiag[d] = model.offdiag
-                lams[d] = rng.generator.uniform(-half_width, half_width, 50)
-            sweep, flags = _sweep_counts_block(diag, offdiag, lams, ell=n // 2)
-            for d in range(draws):
-                sturm = _sturm_block(diag[d : d + 1], offdiag[d : d + 1], lams[d])[0]
-                eigs = eigvalsh_tridiagonal(diag[d], offdiag[d]) if n > 1 else diag[d]
-                dense = np.searchsorted(np.sort(eigs), lams[d], side="right")
-                good = ~flags[d]
-                mismatches += int(np.sum((sweep[d] != dense) & good))
-                mismatches += int(np.sum((sturm != dense) & good))
-            flagged += int(np.sum(flags))
-            evaluations += draws * 50
+            # the chunks verify_counts checks, plus the dense-eigenvalue oracle
+            chunks = _cross_count_chunks(beta, n, draws=100, lams_per_draw=50, seed=101, ell=n // 2)
+            for diag, offdiag, lams, sweep, flags, sturm in chunks:
+                for d in range(len(diag)):
+                    eigs = eigvalsh_tridiagonal(diag[d], offdiag[d]) if n > 1 else diag[d]
+                    dense = np.searchsorted(np.sort(eigs), lams[d], side="right")
+                    good = ~flags[d]
+                    mismatches += int(np.sum((sweep[d] != dense) & good))
+                    mismatches += int(np.sum((sturm[d] != dense) & good))
+                flagged += int(np.sum(flags))
+                evaluations += flags.size
     elapsed = time.monotonic() - t0
     ok = mismatches == 0 and flagged < 1e-3 * evaluations and elapsed < 120.0
     _report(

@@ -128,8 +128,10 @@ def test_prufer_monotone_in_theta_and_offset():
 def test_prufer_increment_bound():
     for d in range(30):
         draw = sample_verblunsky(0.7, 40, RngStream(26, d))
-        ev = prufer_evaluate(draw, 0.45, 1.1, 39, keep_trajectory=True)
-        steps = np.diff(ev.trajectory) - 0.45
+        trajectory = [
+            _final_phases(draw.gamma[None, :k], np.array([0.45]), 1.1)[0, 0] for k in range(40)
+        ]
+        steps = np.diff(trajectory) - 0.45
         assert np.max(np.abs(steps)) < TWO_PI
 
 

@@ -104,6 +104,15 @@ def test_tail_check_output(tmp_path):
     assert "second_moment" in manifest
 
 
+def test_tail_check_stdout_is_only_the_table(capsys):
+    rc = main(["tail-check", "--n", "20", "--samples", "500", "--format", "json"])
+    captured = capsys.readouterr()
+    assert rc == 0
+    rows = json.loads(captured.out)
+    assert [row["b"] for row in rows] == [6.0, 12.0, 24.0, 36.0]
+    assert "second moment of (psi - a)" in captured.err
+
+
 def test_semicircle_residual_table(capsys):
     rc = main(["semicircle-residual", "--n-grid", "100,1000", "--mu-factors", "0,1,2"])
     captured = capsys.readouterr()

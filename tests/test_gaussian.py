@@ -2,11 +2,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from numpy.polynomial import polynomial as npoly
 from scipy.integrate import quad
 from scipy.linalg import eigvalsh_tridiagonal
 
-from betafluct.circlemap import angular_shift, principal_angle
+from betafluct.circlemap import angular_shift
 from betafluct.gaussian import (
     ConjugatedModel,
     carousel_params,
@@ -18,14 +19,14 @@ from betafluct.gaussian import (
     semicircle_residual,
     straightening_map,
     sturm_count,
-    transfer_map,
     verify_counts,
+    _cross_count_chunks,
     _strict_int_part,
     _sweep_phases,
     _sweep_counts_block,
     _sturm_block,
 )
-from betafluct.rng import RngStream
+from betafluct.rng import BLOCK_SIZE, RngStream
 from betafluct.stats import _stack_models
 
 TWO_PI = 2.0 * math.pi
@@ -183,7 +184,8 @@ def test_sturm_shift_invariance():
     lams = np.linspace(-6, 6, 11)
     base = sturm_count(model, lams)
     for c in (-10.0, -1.0, 1.0, 10.0):
-        assert np.array_equal(sturm_count(model.shifted(c), lams + c), base)
+        shifted = _model(model.diag + c, model.offdiag, model.beta)
+        assert np.array_equal(sturm_count(shifted, lams + c), base)
 
 
 def test_sturm_monotone_with_limits():
@@ -193,33 +195,6 @@ def test_sturm_monotone_with_limits():
     assert np.all(np.diff(counts) >= 0)
     assert sturm_count(model, -1e9) == 0
     assert sturm_count(model, 1e9) == 32
-
-
-# ---------------------------------------------------------------- transfer maps
-
-
-def test_transfer_map_quasiperiodic_and_invertible():
-    model = sample_tridiagonal(2.0, 10, RngStream(45, 0))
-    conj = conjugate_model(model)
-    xs = RngStream(45, 1).generator.uniform(-10, 10, 64)
-    for ell in (0, 4, 9):
-        mapping = transfer_map(conj, ell, 0.8)
-        assert np.max(np.abs(mapping(xs + TWO_PI) - mapping(xs) - TWO_PI)) < 1e-9
-        assert np.max(np.abs(mapping.inverse()(mapping(xs)) - xs)) < 1e-9
-
-
-def test_transfer_map_strictly_monotone():
-    model = sample_tridiagonal(2.0, 6, RngStream(45, 2))
-    conj = conjugate_model(model)
-    mapping = transfer_map(conj, 2, -1.3)
-    grid = np.linspace(-8, 8, 1000)
-    assert np.all(np.diff(mapping(grid)) > 0)
-
-
-def test_transfer_map_ell_range():
-    conj = conjugate_model(sample_tridiagonal(2.0, 6, RngStream(45, 3)))
-    with pytest.raises(ValueError):
-        transfer_map(conj, 6, 0.0)
 
 
 # ---------------------------------------------------------------- phase sweep
@@ -382,7 +357,7 @@ def test_straightened_increment_matches_angular_shift():
             phi_here = relative_phase(conj, lam, mu, ell)
             phi_next = relative_phase(conj, lam, mu, ell + 1)
             mapping = straightening_map(conj, lam, mu, ell)
-            y = principal_angle(phi_here - float(np.angle(params.eta[ell])))
+            y = math.remainder(phi_here - float(np.angle(params.eta[ell])), TWO_PI)
             shift = angular_shift(mapping, math.pi, y)
             assert phi_next - phi_here == pytest.approx(shift, abs=1e-8)
 
@@ -439,3 +414,41 @@ def test_sweep_counts_block_agrees_with_scalar():
     )
     for j, lam in enumerate(lams):
         assert phase_sweep(conj, lam, 6).count == block_counts[0, j]
+
+
+@settings(max_examples=25, derandomize=True, deadline=None)
+@given(
+    beta=st.floats(0.25, 6.0),
+    n=st.integers(1, 40),
+    draws=st.integers(1, 12),
+    lams_per_draw=st.integers(1, 8),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_cross_count_block_equals_one_draw_calls(beta, n, draws, lams_per_draw, seed):
+    # the stacked block, one row of lams per draw, gives each draw's own
+    # counts and flags; the counters agree wherever the sweep is not flagged
+    ell = n // 2
+    chunks = list(_cross_count_chunks(beta, n, draws, lams_per_draw, seed, ell))
+    assert len(chunks) == 1
+    diag, offdiag, lams, sweep, flags, sturm = chunks[0]
+    assert sweep.shape == flags.shape == sturm.shape == (draws, lams_per_draw)
+    for d in range(draws):
+        one = (diag[d : d + 1], offdiag[d : d + 1], lams[d])
+        one_sweep, one_flags = _sweep_counts_block(*one, ell)
+        assert np.array_equal(sweep[d], one_sweep[0])
+        assert np.array_equal(flags[d], one_flags[0])
+        assert np.array_equal(sturm[d], _sturm_block(*one)[0])
+    assert np.array_equal(sweep[~flags], sturm[~flags])
+
+
+def test_verify_counts_across_a_chunk_boundary():
+    draws = BLOCK_SIZE + 5
+    chunks = list(_cross_count_chunks(1.0, 6, draws, 3, 57, 3))
+    assert [c[0].shape[0] for c in chunks] == [BLOCK_SIZE, 5]
+    # the first draw past the boundary is still addressed by its own index
+    model = sample_tridiagonal(1.0, 6, RngStream(57, BLOCK_SIZE))
+    assert np.array_equal(chunks[1][0][0], model.diag)
+    report = verify_counts(1.0, 6, draws=draws, lams_per_draw=3, seed=57)
+    assert report.evaluations == 3 * draws
+    assert report.mismatches == 0
+    assert report.flagged == sum(int(np.sum(c[4])) for c in chunks)

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from scipy.stats import kstest
 
-from betafluct.rng import RngStream, DistParams, gaussian_sample, chi_sample, beta_1s_sample
+from betafluct.rng import RngStream, gaussian_sample, chi_sample, beta_1s_sample
 
 
 def test_gaussian_degenerate_sd_returns_mean():
@@ -133,12 +133,3 @@ def test_negative_stream_index_rejected():
     with pytest.raises(ValueError):
         RngStream(0, -1)
 
-
-def test_dist_params_validation():
-    DistParams(u=1.0, s=1.0, mean=0.0, sd=0.0)
-    with pytest.raises(ValueError):
-        DistParams(u=0.0)
-    with pytest.raises(ValueError):
-        DistParams(s=-1.0)
-    with pytest.raises(ValueError):
-        DistParams(sd=-0.1)

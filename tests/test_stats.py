@@ -4,19 +4,17 @@ import numpy as np
 import pytest
 from scipy.stats import norm, spearmanr
 
+from betafluct.circular import _count_arcs_block, _stack_draws
 from betafluct.cli import main
-from betafluct.rng import RngStream, gaussian_sample
+from betafluct.rng import BLOCK_SIZE, RngStream
 from betafluct.stats import (
     BoundFit,
-    MomentAccumulator,
     ScanRow,
     ScanSpec,
-    accumulate,
     bootstrap_variance_ci,
     cue_variance_oracle,
     default_grid,
     fit_log_bound,
-    merge,
     resolve_workers,
     tail_check,
     variance_scan,
@@ -40,51 +38,6 @@ def _row(xi, variance):
         var_ci_hi=variance,
         ref_mean=0.0,
     )
-
-
-# ---------------------------------------------------------------- accumulator
-
-
-def test_accumulate_basic():
-    acc = MomentAccumulator()
-    for x in (1.0, 2.0, 3.0):
-        acc = accumulate(acc, x)
-    assert acc.mean == pytest.approx(2.0)
-    assert acc.variance == pytest.approx(1.0)
-    assert acc.min == 1.0 and acc.max == 3.0
-
-
-def test_merge_matches_single_pass():
-    a = MomentAccumulator()
-    accumulate(a, 1.0)
-    accumulate(a, 2.0)
-    b = MomentAccumulator()
-    accumulate(b, 3.0)
-    combined = merge(a, b)
-    assert combined.m == 3
-    assert combined.mean == pytest.approx(2.0)
-    assert combined.variance == pytest.approx(1.0)
-
-
-def test_merge_random_partitions_relative_error():
-    rng = RngStream(61, 0)
-    values = gaussian_sample(5.0, 3.0, rng, size=5000)
-    single = MomentAccumulator.from_values(values)
-    cuts = sorted(rng.generator.integers(1, len(values) - 1, size=6))
-    merged = MomentAccumulator()
-    prev = 0
-    for cut in list(cuts) + [len(values)]:
-        merged.merge_in(MomentAccumulator.from_values(values[prev:cut]))
-        prev = cut
-    assert merged.m == single.m
-    assert merged.mean == pytest.approx(single.mean, rel=1e-12)
-    assert merged.M2 == pytest.approx(single.M2, rel=1e-12)
-
-
-def test_accumulator_normal_variance():
-    values = gaussian_sample(0.0, 1.0, RngStream(62, 0), size=10**6)
-    acc = MomentAccumulator.from_values(values)
-    assert abs(acc.variance - 1.0) < 0.005
 
 
 # ---------------------------------------------------------------- oracle
@@ -129,6 +82,25 @@ def test_scan_full_circle_arc():
     rows = variance_scan(ScanSpec("cbe", 2.0, n, (TWO_PI * n - 1e-9,)), m=64, seed=64)
     assert rows[0].mean == n
     assert rows[0].variance == 0.0
+
+
+def test_scan_moments_match_recomputed_counts():
+    # row r holds replicas r*m .. r*m + m - 1, sampled in blocks of BLOCK_SIZE;
+    # m is not a multiple of BLOCK_SIZE, so each row ends in a short block
+    beta, n, m, seed, xis = 1.5, 24, BLOCK_SIZE + 700, 64, (3.0, 17.0)
+    rows = variance_scan(ScanSpec("cbe", beta, n, xis), m=m, seed=seed)
+    for r, (row, xi) in enumerate(zip(rows, xis)):
+        counts = np.concatenate([
+            _count_arcs_block(
+                *_stack_draws(beta, n, seed, r * m + np.arange(start, min(start + BLOCK_SIZE, m))),
+                n,
+                np.array([xi]),
+            )[:, 0]
+            for start in range(0, m, BLOCK_SIZE)
+        ])
+        assert row.m == len(counts) == m
+        assert row.mean == pytest.approx(np.mean(counts), rel=1e-12)
+        assert row.variance == pytest.approx(np.var(counts, ddof=1), rel=1e-12)
 
 
 def test_scan_cbe_variance_matches_oracle():
