@@ -118,7 +118,10 @@ def _final_phases(gamma: np.ndarray, thetas: np.ndarray, a: float = 0.0) -> np.n
     n_draws, depth = gamma.shape
     g_re = np.ascontiguousarray(gamma.real)
     g_im = np.ascontiguousarray(gamma.imag)
-    ang0 = np.arctan2(-g_im, 1.0 - g_re)
+    # In place over 1 - g_re: one (C, J) temporary fewer at the peak of a
+    # large block.
+    ang0 = np.subtract(1.0, g_re)
+    np.arctan2(-g_im, ang0, out=ang0)
     psi = np.broadcast_to(thetas + a, (n_draws, thetas.size)).copy()
     for j in range(depth):
         psi = _phase_step(psi, thetas, g_re[:, j : j + 1], g_im[:, j : j + 1], ang0[:, j : j + 1])
@@ -156,12 +159,13 @@ def count_arc(draw: VerblunskyDraw, x: float) -> int:
     return int(counts[0, 0])
 
 
-def _bisect_phase(gamma: np.ndarray, targets: np.ndarray, hi: float, iterations: int = 60) -> np.ndarray:
-    """Solve psi(theta) = target for each target by monotone bisection on [0, hi]."""
+def _bisect_phase(gamma: np.ndarray, targets: np.ndarray, hi: float) -> np.ndarray:
+    """Solve psi(theta) = target for each target by 60 steps of monotone
+    bisection on [0, hi]."""
     lo = np.zeros_like(targets)
     hi_arr = np.full_like(targets, hi)
     g = gamma.reshape(1, -1)
-    for _ in range(iterations):
+    for _ in range(60):
         mid = 0.5 * (lo + hi_arr)
         vals = _final_phases(g, mid)[0]
         below = vals < targets
@@ -192,18 +196,17 @@ def default_window_size(x_max: float) -> int:
 
 
 def sine_beta_window(
-    beta: float, x_max: float, n: int | None = None, rng: RngStream | None = None,
+    beta: float, x_max: float, n: int | None, rng: RngStream
 ) -> PointConfiguration:
     """Approximate a sine-process sample on [0, x_max] by the rescaled points
     of a size-n circular ensemble (the window points are n times the angles).
 
-    n defaults to max(4096, ceil(50 * x_max)); any explicit n must satisfy
-    n >= ceil(10 * x_max) so the window stays far from the full circle.
+    n = None means default_window_size(x_max) = max(4096, ceil(50 * x_max));
+    any explicit n must satisfy n >= ceil(10 * x_max) so the window stays far
+    from the full circle.
     """
     if x_max < 0:
         raise ValueError(f"x_max must be non-negative, got {x_max}")
-    if rng is None:
-        raise ValueError("an RngStream is required")
     if n is None:
         n = default_window_size(x_max)
     if n < math.ceil(10.0 * x_max):

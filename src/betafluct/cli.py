@@ -19,7 +19,6 @@ from .stats import (
     ScanSpec,
     cue_variance_oracle,
     default_grid,
-    resolve_workers,
     tail_check,
     variance_scan,
 )
@@ -57,13 +56,13 @@ def _parse_float_list(text: str) -> tuple:
 def _emit_table(header: str, rows, args, extra_manifest=None) -> None:
     """Write rows of typed values as CSV (cells formatted by _fmt) or as JSON
     objects whose numbers stay numbers."""
-    if getattr(args, "fmt", "csv") == "json":
+    if args.fmt == "json":
         keys = header.split(",")
         body = json.dumps([dict(zip(keys, row)) for row in rows], indent=2) + "\n"
     else:
         body = header + "\n" + "".join(",".join(_fmt(v) for v in row) + "\n" for row in rows)
     if args.out:
-        suffix = ".json" if getattr(args, "fmt", "csv") == "json" else ".csv"
+        suffix = ".json" if args.fmt == "json" else ".csv"
         path = args.out + suffix
         with open(path, "w") as fh:
             fh.write(body)
@@ -99,7 +98,9 @@ def _cmd_scan(args) -> int:
         xis = default_grid(args.n, cap=args.n / 16.0)
     else:
         xis = default_grid(args.n)
-    spec = ScanSpec(ensemble=ensemble, beta=args.beta, n=args.n, xis=xis, center=args.center)
+    spec = ScanSpec(
+        ensemble=ensemble, beta=args.beta, n=args.n, xis=xis, center=getattr(args, "center", 0.0)
+    )
     rows = variance_scan(spec, m=args.samples, seed=args.seed, workers=args.workers)
     _emit_table(SCAN_HEADER, [astuple(row) for row in rows], args, {"grid": list(xis)})
     return 0
@@ -165,6 +166,8 @@ def _cmd_oracle_cue(args) -> int:
 
 
 def _cmd_sample(args) -> int:
+    if args.n is None and args.ensemble != "sine":
+        args.n = 64  # sine_beta_window picks its own size for n=None
     lines = []
     if args.ensemble == "cbe":
         for d in range(args.samples):
@@ -203,17 +206,21 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--beta", type=float, default=2.0, help="ensemble parameter beta > 0")
-    common.add_argument("--n", type=int, default=64, help="number of points")
-    common.add_argument("--samples", type=int, default=1000, help="Monte Carlo replicas")
-    common.add_argument("--seed", type=int, default=0, help="master seed")
-    common.add_argument(
-        "--workers", type=int, default=1, help="worker processes; 0 = auto-detect"
-    )
-    common.add_argument("--grid", type=str, default=None, help="lo:hi:count or geom:lo:hi:count")
-    common.add_argument("--out", type=str, default=None, help="output stem (.csv + .manifest.json)")
-    common.add_argument(
+    # One parent parser per flag group; each subcommand takes only the groups
+    # it reads.
+    size = argparse.ArgumentParser(add_help=False)
+    size.add_argument("--n", type=int, default=64, help="number of points")
+    draws = argparse.ArgumentParser(add_help=False)
+    draws.add_argument("--beta", type=float, default=2.0, help="ensemble parameter beta > 0")
+    draws.add_argument("--samples", type=int, default=1000, help="Monte Carlo replicas")
+    draws.add_argument("--seed", type=int, default=0, help="master seed")
+    workers = argparse.ArgumentParser(add_help=False)
+    workers.add_argument("--workers", type=int, default=1, help="worker processes; 0 = one per CPU")
+    grid = argparse.ArgumentParser(add_help=False)
+    grid.add_argument("--grid", type=str, default=None, help="lo:hi:count or geom:lo:hi:count")
+    output = argparse.ArgumentParser(add_help=False)
+    output.add_argument("--out", type=str, default=None, help="output stem (.csv + .manifest.json)")
+    output.add_argument(
         "--format", dest="fmt", choices=("csv", "json"), default="csv", help="table format"
     )
 
@@ -222,26 +229,27 @@ def build_parser() -> argparse.ArgumentParser:
         ("scan-gbe", "variance scan of Gaussian-ensemble interval counts"),
         ("scan-sine", "variance scan of sine-process window counts"),
     ):
-        p = sub.add_parser(name, parents=[common], help=help_text)
-        p.add_argument(
-            "--center", type=float, default=0.0, help="interval center (scan-gbe only)"
-        )
+        p = sub.add_parser(name, parents=[size, draws, workers, grid, output], help=help_text)
+        if name == "scan-gbe":
+            p.add_argument("--center", type=float, default=0.0, help="interval center")
         p.set_defaults(func=_cmd_scan)
 
     p = sub.add_parser(
-        "verify-count", parents=[common], help="phase-sweep vs Sturm count cross-check"
+        "verify-count", parents=[size, draws], help="phase-sweep vs Sturm count cross-check"
     )
     p.add_argument("--lams", type=int, default=50, help="spectral points per draw")
     p.set_defaults(func=_cmd_verify_count)
 
-    p = sub.add_parser("tail-check", parents=[common], help="phase tail bound check")
+    p = sub.add_parser(
+        "tail-check", parents=[size, draws, workers, output], help="phase tail bound check"
+    )
     p.add_argument("--theta", type=float, default=None, help="angle step (default 1/n)")
     p.add_argument("--a", type=float, default=0.0, help="phase offset")
     p.add_argument("--b-grid", type=str, default="6,12,24,36", help="comma-separated thresholds")
     p.set_defaults(func=_cmd_tail_check)
 
     p = sub.add_parser(
-        "semicircle-residual", parents=[common], help="carousel angle sum vs semicircle mass"
+        "semicircle-residual", parents=[output], help="carousel angle sum vs semicircle mass"
     )
     p.add_argument("--n-grid", type=str, default="100,1000,10000,100000")
     p.add_argument(
@@ -252,10 +260,15 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.set_defaults(func=_cmd_semicircle_residual)
 
-    p = sub.add_parser("oracle-cue", parents=[common], help="exact beta=2 arc-count variance")
+    p = sub.add_parser(
+        "oracle-cue", parents=[size, grid, output], help="exact beta=2 arc-count variance"
+    )
     p.set_defaults(func=_cmd_oracle_cue)
 
-    p = sub.add_parser("sample", parents=[common], help="dump raw points or eigenvalues")
+    p = sub.add_parser("sample", parents=[draws, output], help="dump raw points or eigenvalues")
+    p.add_argument(
+        "--n", type=int, default=None, help="number of points (64; sine: max(4096, 50 * xmax))"
+    )
     p.add_argument("--ensemble", choices=("cbe", "gbe", "sine"), default="cbe")
     p.add_argument("--xmax", type=float, default=20.0, help="window length (sine only)")
     p.set_defaults(func=_cmd_sample)
@@ -273,7 +286,6 @@ def main(argv=None) -> int:
     args.raw_argv = argv
     args.start_time = time.time()
     try:
-        args.workers = resolve_workers(getattr(args, "workers", 1))
         return args.func(args)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -17,6 +17,10 @@ from .rng import BLOCK_SIZE, RngStream, TWO_PI
 # streams live above that.
 _BOOTSTRAP_STREAM_BASE = 1 << 32
 BOOTSTRAP_RESAMPLES = 1000
+# Quantile of each tail of the 95% bootstrap interval. Kept in this form:
+# it is 0.025000000000000022, and a literal 0.025 moves var_ci_lo in its
+# last bit.
+_BOOTSTRAP_ALPHA = 0.5 * (1.0 - 0.95)
 _WILSON_Z = 1.959963984540054  # 95%
 
 
@@ -116,22 +120,17 @@ class TailCheckResult:
     second_moment: float
 
 
-def default_grid(n: int, points: int = 12, cap: float | None = None) -> tuple:
-    """Geometric grid of scale variables from 1 to n/2 (optionally capped)."""
+def default_grid(n: int, cap: float | None = None) -> tuple:
+    """Geometric grid of 12 scale variables from 1 to n/2 (optionally capped)."""
     top = n / 2.0 if cap is None else min(n / 2.0, cap)
-    return tuple(float(v) for v in np.geomspace(1.0, top, points))
+    return tuple(float(v) for v in np.geomspace(1.0, top, 12))
 
 
-def resolve_workers(requested: int | None) -> int:
-    """0 means auto-detect (BETAFLUCT_WORKERS env var, then cpu count)."""
-    if requested is None:
-        return 1
+def resolve_workers(requested: int) -> int:
+    """Worker process count; 0 means one per CPU."""
     if requested < 0:
         raise ValueError(f"workers must be non-negative, got {requested}")
     if requested == 0:
-        env = os.environ.get("BETAFLUCT_WORKERS")
-        if env:
-            return max(1, int(env))
         return os.cpu_count() or 1
     return requested
 
@@ -149,6 +148,7 @@ def _iter_blocks(m: int):
 
 
 def _run_ordered(worker, tasks: list, workers: int) -> list:
+    workers = resolve_workers(workers)
     if workers <= 1 or len(tasks) <= 1:
         return [worker(task) for task in tasks]
     with ProcessPoolExecutor(max_workers=workers) as pool:
@@ -195,13 +195,10 @@ def _histogram_moments(values: np.ndarray, weights: np.ndarray) -> tuple[int, fl
 
 
 def bootstrap_variance_ci(
-    values: np.ndarray,
-    weights: np.ndarray,
-    rng: RngStream,
-    resamples: int = BOOTSTRAP_RESAMPLES,
-    level: float = 0.95,
+    values: np.ndarray, weights: np.ndarray, rng: RngStream
 ) -> tuple[float, float]:
-    """Percentile bootstrap CI for the sample variance of weighted data.
+    """95% percentile bootstrap CI, over BOOTSTRAP_RESAMPLES resamples, for
+    the sample variance of weighted data.
 
     The empirical distribution is given as distinct values with integer
     multiplicities; each resample is a multinomial redraw of the
@@ -216,14 +213,13 @@ def bootstrap_variance_ci(
     values = np.asarray(values, dtype=float)[order]
     weights = np.asarray(weights)[order]
     probs = weights / m
-    table = rng.generator.multinomial(m, probs, size=resamples).astype(float)
+    table = rng.generator.multinomial(m, probs, size=BOOTSTRAP_RESAMPLES).astype(float)
     center = float(np.dot(values, probs))
     centered = values - center
     mean_shift = table @ centered / m
     sq = table @ (centered * centered)
     variances = (sq - m * mean_shift**2) / (m - 1)
-    alpha = 0.5 * (1.0 - level)
-    lo, hi = np.quantile(variances, [alpha, 1.0 - alpha])
+    lo, hi = np.quantile(variances, [_BOOTSTRAP_ALPHA, 1.0 - _BOOTSTRAP_ALPHA])
     return float(lo), float(hi)
 
 
@@ -255,7 +251,6 @@ def variance_scan(spec: ScanSpec, m: int, seed: int, workers: int = 1) -> list[S
     """
     if m < 2:
         raise ValueError(f"need at least 2 replicas, got {m}")
-    workers = resolve_workers(workers)
     params = [_scan_row_params(spec, xi) for xi in spec.xis]
     blocks = list(_iter_blocks(m))
     tasks = [
@@ -314,8 +309,9 @@ def fit_log_bound(rows) -> BoundFit:
     )
 
 
-def wilson_upper(hits: int, m: int, z: float = _WILSON_Z) -> float:
-    """Upper end of the Wilson score interval for a binomial proportion."""
+def wilson_upper(hits: int, m: int) -> float:
+    """Upper end of the 95% Wilson score interval for a binomial proportion."""
+    z = _WILSON_Z
     if m == 0:
         return 1.0
     p = hits / m
@@ -326,10 +322,10 @@ def wilson_upper(hits: int, m: int, z: float = _WILSON_Z) -> float:
 
 
 def _tail_worker(task):
-    beta, n, theta, a, depth, b_grid, seed, start, stop = task
+    beta, n, theta, a, b_grid, seed, start, stop = task
     indices = np.arange(start, stop)
     gamma, _ = _stack_draws(beta, n, seed, indices)
-    psi = _final_phases(gamma[:, :depth], np.array([theta]), a)[:, 0]
+    psi = _final_phases(gamma, np.array([theta]), a)[:, 0]
     excess = psi - a
     hits = np.array([int(np.sum(excess >= b)) for b in b_grid], dtype=np.int64)
     return hits, float(np.sum(excess * excess)), len(indices)
@@ -344,27 +340,19 @@ def tail_check(
     m: int = 10**6,
     seed: int = 0,
     workers: int = 1,
-    depth: int | None = None,
 ) -> TailCheckResult:
     """Empirical exceedance probabilities of the phase against the universal
     exponential bound 12 * exp(-b/12), valid for theta <= 1/n.
 
     Also reports the empirical second moment of (psi - a), which the same
-    argument bounds by 3500. depth defaults to the full recursion n-1.
+    argument bounds by 3500. The phase is taken at the full depth n-1.
     """
     if theta is None:
         theta = 1.0 / n
     if not 0.0 <= theta <= 1.0 / n:
         raise ValueError(f"theta must lie in [0, 1/n]={1.0 / n}, got {theta}")
-    if depth is None:
-        depth = n - 1
-    if not 0 <= depth <= n - 1:
-        raise ValueError(f"depth must lie in [0, {n - 1}], got {depth}")
-    workers = resolve_workers(workers)
     b_grid = tuple(float(b) for b in b_grid)
-    tasks = [
-        (beta, n, theta, a, depth, b_grid, seed, start, stop) for start, stop in _iter_blocks(m)
-    ]
+    tasks = [(beta, n, theta, a, b_grid, seed, start, stop) for start, stop in _iter_blocks(m)]
     results = _run_ordered(_tail_worker, tasks, workers)
     hits = np.zeros(len(b_grid), dtype=np.int64)
     sumsq = 0.0
@@ -405,25 +393,19 @@ def regularity_profile(
     m: int,
     seed: int,
     alpha: float = 0.4,
-    n: int | None = None,
-    points_per_decade: int = 8,
     workers: int = 1,
 ) -> np.ndarray:
-    """Per-draw sup over a log grid in [1, x_max] of the normalized count
-    deviation |N(0, x] - x/(2 pi)| / (1 + x)^alpha.
+    """Per-draw sup over a log grid in [1, x_max], 8 points per decade, of
+    the normalized count deviation |N(0, x] - x/(2 pi)| / (1 + x)^alpha.
 
     The distribution of this statistic is expected to be stochastically
-    stable as the window grows; n defaults to the minimal window guard
-    ceil(10 * x_max).
+    stable as the window grows; the draws have the minimal window guard size
+    n = ceil(10 * x_max).
     """
     if x_max < 1.0:
         raise ValueError(f"x_max must be at least 1, got {x_max}")
-    if n is None:
-        n = int(math.ceil(10.0 * x_max))
-    if n < math.ceil(10.0 * x_max):
-        raise ValueError(f"n={n} too small for window {x_max}")
-    workers = resolve_workers(workers)
-    npts = max(2, int(math.ceil(math.log10(x_max) * points_per_decade)) + 1)
+    n = int(math.ceil(10.0 * x_max))
+    npts = max(2, int(math.ceil(math.log10(x_max) * 8)) + 1)
     grid = tuple(float(v) for v in np.geomspace(1.0, x_max, npts))
     tasks = [(beta, n, alpha, grid, seed, start, stop) for start, stop in _iter_blocks(m)]
     results = _run_ordered(_regularity_worker, tasks, workers)

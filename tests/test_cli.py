@@ -102,6 +102,7 @@ def test_tail_check_output(tmp_path):
     assert len(rows) == 2
     manifest = json.load(open(out + ".manifest.json"))
     assert "second_moment" in manifest
+    assert "grid" not in manifest["params"]
 
 
 def test_tail_check_stdout_is_only_the_table(capsys):
@@ -125,10 +126,12 @@ def test_semicircle_residual_table(capsys):
 
 
 def test_sample_commands(tmp_path, capsys):
-    for extra in (["--ensemble", "cbe", "--n", "8"],
-                  ["--ensemble", "gbe", "--n", "8"],
-                  ["--ensemble", "sine", "--n", "128", "--xmax", "5"]):
-        rc = main(["sample", "--samples", "2", "--seed", "4"] + extra)
+    for extra in (["--ensemble", "cbe", "--n", "8", "--samples", "2"],
+                  ["--ensemble", "gbe", "--n", "8", "--samples", "2"],
+                  ["--ensemble", "sine", "--n", "128", "--xmax", "5", "--samples", "2"],
+                  # without --n, sine takes the library's window size, not 64
+                  ["--ensemble", "sine", "--samples", "1"]):
+        rc = main(["sample", "--seed", "4"] + extra)
         assert rc == 0
         captured = capsys.readouterr()
         assert len(captured.out.strip().split("\n")) >= 2
@@ -139,6 +142,16 @@ def test_usage_errors_exit_2(capsys):
     assert main(["nonsense-command"]) == 2
     assert main(["scan-cbe", "--beta", "-1", "--samples", "10"]) == 2
     assert main(["scan-cbe", "--grid", "oops"]) == 2
+    # each subcommand takes only the flags it reads
+    for argv in (["verify-count", "--workers", "2"],
+                 ["verify-count", "--out", "X"],
+                 ["tail-check", "--grid", "1:2:3"],
+                 ["semicircle-residual", "--seed", "1"],
+                 ["oracle-cue", "--beta", "3"],
+                 ["sample", "--workers", "2"],
+                 ["scan-cbe", "--center", "1"],
+                 ["scan-sine", "--center", "1"]):
+        assert main(argv) == 2, argv
     capsys.readouterr()
 
 

@@ -268,12 +268,8 @@ def test_wilson_upper_monotone_sane():
 # ---------------------------------------------------------------- misc
 
 
-def test_resolve_workers(monkeypatch):
-    assert resolve_workers(None) == 1
+def test_resolve_workers():
     assert resolve_workers(3) == 3
-    monkeypatch.setenv("BETAFLUCT_WORKERS", "7")
-    assert resolve_workers(0) == 7
-    monkeypatch.delenv("BETAFLUCT_WORKERS")
     assert resolve_workers(0) >= 1
     with pytest.raises(ValueError):
         resolve_workers(-1)
