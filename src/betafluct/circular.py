@@ -37,23 +37,6 @@ class VerblunskyDraw:
             raise ValueError(f"eta must lie in [0, 2*pi), got {self.eta}")
 
 
-@dataclass(frozen=True)
-class PruferEvaluation:
-    theta: float
-    a: float
-    k: int
-    psi: float
-
-
-@dataclass(frozen=True)
-class PointConfiguration:
-    """Sorted point set; scale is 'argument' for raw angles in [0, 2*pi),
-    'rescaled' for angles multiplied by n (window coordinates)."""
-
-    points: np.ndarray
-    scale: str
-
-
 def _sample_verblunsky_block(beta: float, n: int, count: int, rng: RngStream):
     """Sample coefficients for `count` independent circular beta ensembles of
     n points from one stream.
@@ -116,8 +99,7 @@ def _final_phases(gamma: np.ndarray, thetas: np.ndarray, a: float = 0.0) -> np.n
     gamma = np.atleast_2d(gamma)
     thetas = np.atleast_1d(np.asarray(thetas, dtype=float))
     n_draws, depth = gamma.shape
-    g_re = np.ascontiguousarray(gamma.real)
-    g_im = np.ascontiguousarray(gamma.imag)
+    g_re, g_im = gamma.real, gamma.imag  # views: no (C, J) copies
     # In place over 1 - g_re: one (C, J) temporary fewer at the peak of a
     # large block.
     ang0 = np.subtract(1.0, g_re)
@@ -129,8 +111,8 @@ def _final_phases(gamma: np.ndarray, thetas: np.ndarray, a: float = 0.0) -> np.n
 
 
 def prufer_evaluate(
-    draw: VerblunskyDraw, theta: float, a: float = 0.0, k: int | None = None
-) -> PruferEvaluation:
+    draw: VerblunskyDraw, theta: float, a: float, k: int | None = None
+) -> float:
     """Evaluate the Prufer phase psi_k(theta, a), with psi_0 = theta + a.
 
     k defaults to n-1 (full depth). The phase is strictly increasing in theta
@@ -140,8 +122,7 @@ def prufer_evaluate(
         k = draw.n - 1
     if not 0 <= k <= draw.n - 1:
         raise ValueError(f"depth k must lie in [0, {draw.n - 1}], got {k}")
-    psi = _final_phases(draw.gamma[None, :k], np.array([theta]), a)[0, 0]
-    return PruferEvaluation(theta=theta, a=a, k=k, psi=float(psi))
+    return float(_final_phases(draw.gamma[None, :k], np.array([theta]), a)[0, 0])
 
 
 def count_arc(draw: VerblunskyDraw, x: float) -> int:
@@ -174,8 +155,8 @@ def _bisect_phase(gamma: np.ndarray, targets: np.ndarray, hi: float) -> np.ndarr
     return 0.5 * (lo + hi_arr)
 
 
-def cbe_points(draw: VerblunskyDraw) -> PointConfiguration:
-    """Extract all n points (as arguments in [0, 2*pi)) of the configuration.
+def cbe_points(draw: VerblunskyDraw) -> np.ndarray:
+    """All n points of the configuration as sorted arguments in [0, 2*pi).
 
     The full-depth phase increases from 0 to 2*pi*n over one period, so each
     of the n lattice values eta + 2*pi*m in [0, 2*pi*n) has a unique preimage,
@@ -187,7 +168,7 @@ def cbe_points(draw: VerblunskyDraw) -> PointConfiguration:
         points = targets
     else:
         points = _bisect_phase(draw.gamma, targets, TWO_PI)
-    return PointConfiguration(points=np.sort(points), scale="argument")
+    return np.sort(points)
 
 
 def default_window_size(x_max: float) -> int:
@@ -195,11 +176,10 @@ def default_window_size(x_max: float) -> int:
     return max(4096, int(math.ceil(50.0 * x_max)))
 
 
-def sine_beta_window(
-    beta: float, x_max: float, n: int | None, rng: RngStream
-) -> PointConfiguration:
+def sine_beta_window(beta: float, x_max: float, n: int | None, rng: RngStream) -> np.ndarray:
     """Approximate a sine-process sample on [0, x_max] by the rescaled points
-    of a size-n circular ensemble (the window points are n times the angles).
+    of a size-n circular ensemble (the window points are n times the angles),
+    returned sorted.
 
     n = None means default_window_size(x_max) = max(4096, ceil(50 * x_max));
     any explicit n must satisfy n >= ceil(10 * x_max) so the window stays far
@@ -212,15 +192,13 @@ def sine_beta_window(
     if n < math.ceil(10.0 * x_max):
         raise ValueError(f"n={n} too small for window length {x_max}; need n >= {math.ceil(10.0 * x_max)}")
     draw = sample_verblunsky(beta, n, rng)
-    if x_max == 0.0:
-        return PointConfiguration(points=np.empty(0), scale="rescaled")
-    count = count_arc(draw, x_max)
+    count = count_arc(draw, x_max) if x_max > 0.0 else 0
     if count == 0:
-        return PointConfiguration(points=np.empty(0), scale="rescaled")
+        return np.empty(0)
     first = 0 if draw.eta > 0.0 else 1
     targets = draw.eta + TWO_PI * np.arange(first, first + count, dtype=float)
     thetas = _bisect_phase(draw.gamma, targets, x_max / n)
-    return PointConfiguration(points=np.sort(n * thetas), scale="rescaled")
+    return np.sort(n * thetas)
 
 
 def _stack_draws(beta: float, n: int, master_seed: int, indices: np.ndarray):

@@ -172,13 +172,12 @@ def _cmd_sample(args) -> int:
     if args.ensemble == "cbe":
         for d in range(args.samples):
             draw = sample_verblunsky(args.beta, args.n, RngStream(args.seed, d))
-            for p in cbe_points(draw).points:
+            for p in cbe_points(draw):
                 lines.append((d, float(p)))
         header = "draw,point"
     elif args.ensemble == "sine":
         for d in range(args.samples):
-            config = sine_beta_window(args.beta, args.xmax, args.n, RngStream(args.seed, d))
-            for p in config.points:
+            for p in sine_beta_window(args.beta, args.xmax, args.n, RngStream(args.seed, d)):
                 lines.append((d, float(p)))
         header = "draw,point"
     else:

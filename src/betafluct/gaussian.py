@@ -65,8 +65,6 @@ class ConjugatedModel:
 class PhaseSweep:
     """Forward/backward phase pair at a split index; count is the winding."""
 
-    ell: int
-    lam: float
     phi_fwd: float
     phi_bwd: float
     count: int
@@ -83,14 +81,10 @@ class CarouselParams:
     n0 - mu^(2/3), clamped at 0.
     """
 
-    mu: float
-    n: int
     n0: float
     rho: np.ndarray = field(repr=False)
     ell: int
     eta: np.ndarray = field(repr=False)
-    lam: float | None = None
-    lambda_rel: float | None = None
 
 
 def _sample_tridiagonal_block(beta: float, n: int, count: int, rng: RngStream):
@@ -227,7 +221,7 @@ def _winding_counts(fwd, bwd):
     return np.floor(winding).astype(np.int64), flags
 
 
-def phase_sweep(model: ConjugatedModel, lam: float, ell: int | None = None) -> PhaseSweep:
+def phase_sweep(model: ConjugatedModel, lam: float, ell: int) -> PhaseSweep:
     """Count eigenvalues <= lam as the winding between a forward phase pushed
     from the top rows and a backward phase pushed from the bottom rows.
 
@@ -235,15 +229,11 @@ def phase_sweep(model: ConjugatedModel, lam: float, ell: int | None = None) -> P
     of it. Counts whose winding sits within 1e-8 of an integer are flagged as
     ill-conditioned rather than trusted.
     """
-    if ell is None:
-        ell = model.n // 2
     if not 0 <= ell <= model.n:
         raise ValueError(f"ell must lie in [0, {model.n}], got {ell}")
     fwd, bwd = _sweep_phases(model, np.array([lam], dtype=float), ell)
     count, flagged = _winding_counts(fwd, bwd)
     return PhaseSweep(
-        ell=ell,
-        lam=float(lam),
         phi_fwd=float(fwd[0]),
         phi_bwd=float(bwd[0]),
         count=int(count[0]),
@@ -251,7 +241,7 @@ def phase_sweep(model: ConjugatedModel, lam: float, ell: int | None = None) -> P
     )
 
 
-def _sweep_counts_block(diag, offdiag, lams, ell=0):
+def _sweep_counts_block(diag, offdiag, lams, ell):
     """Sweep counts and flags for stacked tridiagonal draws: (C, K) each.
 
     lams is (K,) shared by all draws or (C, K), one row per draw.
@@ -267,12 +257,8 @@ def _strict_int_part(x: float) -> int:
     return f - 1 if f == x else f
 
 
-def carousel_params(mu: float, n: int, lam: float | None = None) -> CarouselParams:
-    """Rotation-removal parameters at level mu for a size-n ensemble.
-
-    When lam is given, the renormalized spectral offset 2*sqrt(n0)*(lam - mu)
-    is attached as lambda_rel.
-    """
+def carousel_params(mu: float, n: int) -> CarouselParams:
+    """Rotation-removal parameters at level mu for a size-n ensemble."""
     if mu < 0:
         raise ValueError(f"mu must be non-negative, got {mu}")
     if n < 1:
@@ -283,9 +269,7 @@ def carousel_params(mu: float, n: int, lam: float | None = None) -> CarouselPara
     denom = q + n0 - levels
     rho = np.sqrt(q / denom) + 1j * np.sqrt((n0 - levels) / denom)
     ell = max(_strict_int_part(n0 - mu ** (2.0 / 3.0)), 0)
-    eta = np.cumprod(rho * rho)
-    lambda_rel = None if lam is None else 2.0 * math.sqrt(n0) * (lam - mu)
-    return CarouselParams(mu=mu, n=n, n0=n0, rho=rho, ell=ell, eta=eta, lam=lam, lambda_rel=lambda_rel)
+    return CarouselParams(n0=n0, rho=rho, ell=ell, eta=np.cumprod(rho * rho))
 
 
 def _semicircle_antiderivative(x) -> np.ndarray:
@@ -335,8 +319,6 @@ def relative_phase(model: ConjugatedModel, lam: float, mu: float, ell: int) -> f
 class CrossCountReport:
     """Outcome of comparing phase-sweep counts against Sturm counts."""
 
-    beta: float
-    n: int
     draws: int
     evaluations: int
     mismatches: int
@@ -373,28 +355,25 @@ def verify_counts(
     beta: float,
     n: int,
     draws: int,
-    lams_per_draw: int = 50,
-    seed: int = 0,
-    ell: int | None = None,
+    lams_per_draw: int,
+    seed: int,
 ) -> CrossCountReport:
     """Cross-check the two eigenvalue counters on random spectral parameters.
 
     For each sampled model, lams_per_draw uniform points covering the
     spectrum are counted by phase sweep and by Sturm pivots; counts must
-    agree exactly except at flagged near-degenerate points.
+    agree exactly except at flagged near-degenerate points. The sweep splits
+    at ell = n // 2.
     """
     if draws < 1 or lams_per_draw < 1:
         raise ValueError("draws and lams_per_draw must be positive")
-    if ell is None:
-        ell = n // 2
     mismatches = 0
     flagged = 0
-    for *_, sweep, flags, sturm in _cross_count_chunks(beta, n, draws, lams_per_draw, seed, ell):
+    chunks = _cross_count_chunks(beta, n, draws, lams_per_draw, seed, n // 2)
+    for *_, sweep, flags, sturm in chunks:
         mismatches += int(np.sum((sweep != sturm) & ~flags))
         flagged += int(np.sum(flags))
     return CrossCountReport(
-        beta=beta,
-        n=n,
         draws=draws,
         evaluations=draws * lams_per_draw,
         mismatches=mismatches,

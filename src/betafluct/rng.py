@@ -23,23 +23,17 @@ class RngStream:
 
     Equal addresses always replay the same sequence; distinct stream indices
     give statistically independent streams, so parallel workers can each own
-    one stream and merged results do not depend on scheduling.
+    one stream and merged results do not depend on scheduling. The master
+    seed is taken modulo 2**64.
     """
 
-    def __init__(self, master_seed: int, stream_index: int = 0):
+    def __init__(self, master_seed: int, stream_index: int):
         if stream_index < 0:
             raise ValueError(f"stream_index must be non-negative, got {stream_index}")
-        self.master_seed = int(master_seed) & 0xFFFFFFFFFFFFFFFF
-        self.stream_index = int(stream_index)
-        seq = np.random.SeedSequence(entropy=self.master_seed, spawn_key=(self.stream_index,))
-        self._generator = np.random.default_rng(seq)
-
-    @property
-    def generator(self) -> np.random.Generator:
-        return self._generator
-
-    def __repr__(self) -> str:
-        return f"RngStream(master_seed={self.master_seed}, stream_index={self.stream_index})"
+        seq = np.random.SeedSequence(
+            entropy=int(master_seed) & 0xFFFFFFFFFFFFFFFF, spawn_key=(int(stream_index),)
+        )
+        self.generator = np.random.default_rng(seq)
 
 
 def gaussian_sample(mean, sd, rng: RngStream, size=None):

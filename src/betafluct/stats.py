@@ -111,11 +111,6 @@ class TailRow:
 
 @dataclass(frozen=True)
 class TailCheckResult:
-    beta: float
-    n: int
-    theta: float
-    a: float
-    m: int
     rows: tuple
     second_moment: float
 
@@ -328,7 +323,7 @@ def _tail_worker(task):
     psi = _final_phases(gamma, np.array([theta]), a)[:, 0]
     excess = psi - a
     hits = np.array([int(np.sum(excess >= b)) for b in b_grid], dtype=np.int64)
-    return hits, float(np.sum(excess * excess)), len(indices)
+    return hits, float(np.sum(excess * excess))
 
 
 def tail_check(
@@ -351,30 +346,28 @@ def tail_check(
         theta = 1.0 / n
     if not 0.0 <= theta <= 1.0 / n:
         raise ValueError(f"theta must lie in [0, 1/n]={1.0 / n}, got {theta}")
+    if m < 1:
+        raise ValueError(f"need at least 1 replica, got {m}")
     b_grid = tuple(float(b) for b in b_grid)
     tasks = [(beta, n, theta, a, b_grid, seed, start, stop) for start, stop in _iter_blocks(m)]
     results = _run_ordered(_tail_worker, tasks, workers)
     hits = np.zeros(len(b_grid), dtype=np.int64)
     sumsq = 0.0
-    total = 0
-    for blk_hits, blk_sumsq, blk_m in results:
+    for blk_hits, blk_sumsq in results:
         hits += blk_hits
         sumsq += blk_sumsq
-        total += blk_m
     rows = tuple(
         TailRow(
             b=b,
             hits=int(h),
-            m=total,
-            empirical=float(h / total),
-            wilson_hi=wilson_upper(int(h), total),
+            m=m,
+            empirical=float(h / m),
+            wilson_hi=wilson_upper(int(h), m),
             bound=12.0 * math.exp(-b / 12.0),
         )
         for b, h in zip(b_grid, hits)
     )
-    return TailCheckResult(
-        beta=beta, n=n, theta=theta, a=a, m=total, rows=rows, second_moment=sumsq / total
-    )
+    return TailCheckResult(rows=rows, second_moment=sumsq / m)
 
 
 def _regularity_worker(task):
@@ -404,6 +397,8 @@ def regularity_profile(
     """
     if x_max < 1.0:
         raise ValueError(f"x_max must be at least 1, got {x_max}")
+    if m < 1:
+        raise ValueError(f"need at least 1 draw, got {m}")
     n = int(math.ceil(10.0 * x_max))
     npts = max(2, int(math.ceil(math.log10(x_max) * 8)) + 1)
     grid = tuple(float(v) for v in np.geomspace(1.0, x_max, npts))

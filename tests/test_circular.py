@@ -92,16 +92,16 @@ def test_stack_draws_block_addressing():
 def test_prufer_zero_coefficients_linear():
     draw = _zero_draw(10, 1.0)
     for k in (0, 3, 9):
-        ev = prufer_evaluate(draw, 0.7, 0.0, k)
-        assert ev.psi == pytest.approx((k + 1) * 0.7, abs=1e-12)
+        psi = prufer_evaluate(draw, 0.7, 0.0, k)
+        assert psi == pytest.approx((k + 1) * 0.7, abs=1e-12)
 
 
 def test_prufer_offset_equivariance():
     for d in range(20):
         draw = sample_verblunsky(1.5, 20, RngStream(23, d))
         theta, a = 0.31, 0.9
-        base = prufer_evaluate(draw, theta, a).psi
-        shifted = prufer_evaluate(draw, theta, a + TWO_PI).psi
+        base = prufer_evaluate(draw, theta, a)
+        shifted = prufer_evaluate(draw, theta, a + TWO_PI)
         assert abs(shifted - base - TWO_PI) < 1e-9
 
 
@@ -198,24 +198,24 @@ def test_cbe_points_lattice():
     n = 8
     draw = _zero_draw(n, 0.9)
     expected = (0.9 + TWO_PI * np.arange(n)) / n
-    assert np.allclose(cbe_points(draw).points, expected, atol=1e-12)
+    assert np.allclose(cbe_points(draw), expected, atol=1e-12)
 
 
 def test_cbe_points_count_and_sorted():
     n = 16
     for d in range(1000):
         draw = sample_verblunsky(2.0, n, RngStream(30, d))
-        config = cbe_points(draw)
-        assert len(config.points) == n
-        assert np.all(np.diff(config.points) > 0)
-        assert config.points[0] >= 0.0 and config.points[-1] < TWO_PI
+        points = cbe_points(draw)
+        assert len(points) == n
+        assert np.all(np.diff(points) > 0)
+        assert points[0] >= 0.0 and points[-1] < TWO_PI
 
 
 def test_cbe_points_solve_to_tolerance():
     n = 16
     for d in range(50):
         draw = sample_verblunsky(1.0, n, RngStream(31, d))
-        pts = cbe_points(draw).points
+        pts = cbe_points(draw)
         psi = _final_phases(draw.gamma.reshape(1, -1), pts)[0]
         residue = (psi - draw.eta + math.pi) % TWO_PI - math.pi
         # theta is bisected to ~1e-15; the phase residue scales by dpsi/dtheta,
@@ -228,15 +228,14 @@ def test_cbe_points_cross_oracle_count_arc():
     rng = RngStream(32, 0)
     for d in range(50):
         draw = sample_verblunsky(2.0, n, RngStream(32, d))
-        pts = cbe_points(draw).points * n
+        pts = cbe_points(draw) * n
         for x in rng.generator.uniform(0, TWO_PI * n, 4):
             assert count_arc(draw, x) == int(np.sum((pts > 0) & (pts <= x)))
 
 
 def test_sine_window_empty():
-    config = sine_beta_window(2.0, 0.0, 64, RngStream(33, 0))
-    assert len(config.points) == 0
-    assert config.scale == "rescaled"
+    points = sine_beta_window(2.0, 0.0, 64, RngStream(33, 0))
+    assert len(points) == 0
 
 
 def test_sine_window_guard():
@@ -253,12 +252,12 @@ def test_sine_window_matches_count_arc():
     x_max = 12.0
     for d in range(30):
         rng = RngStream(34, d)
-        config = sine_beta_window(2.0, x_max, 128, rng)
+        points = sine_beta_window(2.0, x_max, 128, rng)
         draw = sample_verblunsky(2.0, 128, RngStream(34, d))
-        assert len(config.points) == count_arc(draw, x_max)
-        if len(config.points):
-            assert config.points[0] > 0 and config.points[-1] <= x_max
-            assert np.all(np.diff(config.points) > 0)
+        assert len(points) == count_arc(draw, x_max)
+        if len(points):
+            assert points[0] > 0 and points[-1] <= x_max
+            assert np.all(np.diff(points) > 0)
 
 
 def test_sine_window_count_mean_centered():

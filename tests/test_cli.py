@@ -142,6 +142,7 @@ def test_usage_errors_exit_2(capsys):
     assert main(["nonsense-command"]) == 2
     assert main(["scan-cbe", "--beta", "-1", "--samples", "10"]) == 2
     assert main(["scan-cbe", "--grid", "oops"]) == 2
+    assert main(["tail-check", "--samples", "0"]) == 2
     # each subcommand takes only the flags it reads
     for argv in (["verify-count", "--workers", "2"],
                  ["verify-count", "--out", "X"],

@@ -269,11 +269,10 @@ def test_carousel_edge_clamp():
 
 
 def test_carousel_invariants():
-    params = carousel_params(3.7, 40, lam=4.0)
+    params = carousel_params(3.7, 40)
     assert np.allclose(np.abs(params.rho), 1.0, atol=1e-12)
     assert np.all(params.rho.real >= 0) and np.all(params.rho.imag >= 0)
     assert np.allclose(np.abs(params.eta), 1.0, atol=1e-10)
-    assert params.lambda_rel == pytest.approx(2.0 * math.sqrt(params.n0) * (4.0 - 3.7))
     with pytest.raises(ValueError):
         carousel_params(-0.1, 10)
 

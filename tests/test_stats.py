@@ -15,6 +15,7 @@ from betafluct.stats import (
     cue_variance_oracle,
     default_grid,
     fit_log_bound,
+    regularity_profile,
     resolve_workers,
     tail_check,
     variance_scan,
@@ -251,6 +252,13 @@ def test_tail_check_values_and_bounds():
 def test_tail_check_theta_domain():
     with pytest.raises(ValueError):
         tail_check(2.0, 10, theta=0.2, m=100, seed=0)
+
+
+def test_tail_and_regularity_need_a_replica():
+    with pytest.raises(ValueError):
+        tail_check(2.0, 10, m=0, seed=0)
+    with pytest.raises(ValueError, match="at least 1 draw"):
+        regularity_profile(2.0, 10.0, m=0, seed=0)
 
 
 def test_tail_check_worker_invariance():
