@@ -166,6 +166,8 @@ def _cmd_oracle_cue(args) -> int:
 
 
 def _cmd_sample(args) -> int:
+    if args.samples < 1:
+        raise ValueError(f"need at least 1 draw, got {args.samples}")
     if args.n is None and args.ensemble != "sine":
         args.n = 64  # sine_beta_window picks its own size for n=None
     lines = []

@@ -3,11 +3,12 @@
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .circlemap import AffineAction, LiftedCircleMap, _lift_affine, lift_affine
+from .circlemap import _lift_affine
 from .rng import BLOCK_SIZE, RngStream, block_start, chi_sample, gaussian_sample, TWO_PI
 
 # Relative winding distance to an integer below which a sweep count is
@@ -20,7 +21,8 @@ class TridiagonalModel:
     """Symmetric tridiagonal matrix whose spectrum is a Gaussian beta ensemble.
 
     diag entries are N(0, 2/beta); offdiag entry p (1-based) is
-    chi_{beta*(n-p)} / sqrt(beta), all independent.
+    chi_{beta*(n-p)} / sqrt(beta), all independent. The off-diagonal must
+    be positive: the phase sweep conjugates it away (see _conjugate_block).
     """
 
     beta: float
@@ -35,30 +37,8 @@ class TridiagonalModel:
             raise ValueError(f"n must be at least 1, got {self.n}")
         if len(self.diag) != self.n or len(self.offdiag) != self.n - 1:
             raise ValueError("inconsistent band lengths")
-
-
-@dataclass(frozen=True)
-class ConjugatedModel:
-    """Diagonal-similarity image of a TridiagonalModel with pinned subdiagonal.
-
-    The conjugated matrix has diagonal X, subdiagonal entries s_1..s_{n-1}
-    with s_p = sqrt(n - p - 1/2), and superdiagonal s_{p-1} + Y_{p-1} where
-    Y_{p-1} = offdiag_p^2 / s_p - s_{p-1}. Opposite off-diagonal products are
-    preserved exactly, so the spectrum equals that of the source model.
-    """
-
-    n: int
-    s: np.ndarray  # s_0..s_{n-1}; the last value only pads the final transfer map
-    X: np.ndarray
-    Y: np.ndarray  # length n; Y[n-1] = 0 pads the final transfer map
-
-    def superdiag(self) -> np.ndarray:
-        return self.s[:-1] + self.Y[:-1]
-
-    def transfer_params(self, ell: int) -> tuple[float, float, float]:
-        """(s_ell, scale, shift) of the random factor of the ell-th transfer map."""
-        s = self.s[ell]
-        return s, s / (s + self.Y[ell]), -self.X[ell] / s
+        if np.any(self.offdiag <= 0):
+            raise ValueError("off-diagonal entries must be positive")
 
 
 @dataclass(frozen=True)
@@ -123,26 +103,18 @@ def _stack_models(beta: float, n: int, master_seed: int, indices: np.ndarray):
 def _conjugate_block(offdiag: np.ndarray):
     """Pinned subdiagonal s (n,) and fluctuation Y (C, n) of stacked draws.
 
-    s_p = sqrt(n - p - 1/2) and Y_p = offdiag_{p+1}^2 / s_{p+1} - s_p for
-    p < n-1; Y_{n-1} = 0 pads the final transfer map.
+    A diagonal similarity of the (positive off-diagonal) model keeps the
+    diagonal X and gives subdiagonal entries s_1..s_{n-1}, with
+    s_p = sqrt(n - p - 1/2), and superdiagonal entries s_{p-1} + Y_{p-1},
+    with Y_{p-1} = offdiag_p^2 / s_p - s_{p-1}. Opposite off-diagonal
+    products are preserved exactly, so the spectrum is unchanged.
+    Y_{n-1} = 0 pads the final transfer map.
     """
     n = offdiag.shape[1] + 1
     s = np.sqrt(n - np.arange(n, dtype=float) - 0.5)
     y = np.zeros((offdiag.shape[0], n))
     y[:, : n - 1] = offdiag**2 / s[1:] - s[:-1]
     return s, y
-
-
-def conjugate_model(model: TridiagonalModel) -> ConjugatedModel:
-    """Conjugate by the diagonal similarity that pins the subdiagonal to s.
-
-    The similarity leaves the spectrum unchanged; Y absorbs the fluctuation
-    of the off-diagonal entries around s.
-    """
-    if model.n > 1 and np.any(model.offdiag <= 0):
-        raise ValueError("off-diagonal entries must be positive to conjugate")
-    s, y = _conjugate_block(model.offdiag[None, :])
-    return ConjugatedModel(n=model.n, s=s, X=model.diag.copy(), Y=y[0])
 
 
 def sturm_count(model: TridiagonalModel, lam) -> int | np.ndarray:
@@ -173,43 +145,28 @@ def _sturm_block(diag: np.ndarray, offdiag: np.ndarray, lams: np.ndarray) -> np.
     return neg
 
 
-def _sweep_forward(X, s, Y, lams, ell):
-    """phi-hat at split ell: start at pi, push through transfer maps 0..ell-1.
+def _sweep_phases(diag, offdiag, lams, ell: int):
+    """Forward and backward phases at split ell for stacked draws: (C, K) each.
 
-    X, Y: (C, n) stacked draws (Y[:, n-1] is the zero pad); lams: (K,) or
-    (C, K); returns (C, K).
+    diag (C, n), offdiag (C, n-1); lams is (K,) shared by all draws or
+    (C, K), one row per draw. With X = diag, s and Y from _conjugate_block
+    and a_l = s_l / (s_l + Y_l), transfer map l is a half turn followed by
+    the lift of r -> a_l*(r + (lam - X_l)/s_l). The forward phase starts at
+    pi and is pushed through maps 0..ell-1; the backward phase starts at 0
+    and is pulled back through maps n-1..ell by the inverse lift
+    L(1/a_l, a_l*(X_l - lam)/s_l) and a half turn back.
     """
-    n_draws = X.shape[0]
+    s, y = _conjugate_block(offdiag)
+    a = s / (s + y)
     lams = np.atleast_1d(np.asarray(lams, dtype=float))
-    width = lams.shape[-1]
-    phi = np.full((n_draws, width), math.pi)
+    shape = (diag.shape[0], lams.shape[-1])
+    fwd = np.full(shape, math.pi)
     for l in range(ell):
-        sl = s[l]
-        phi = _lift_affine(phi + math.pi, 1.0, lams / sl)
-        phi = _lift_affine(phi, sl / (sl + Y[:, l : l + 1]), -X[:, l : l + 1] / sl)
-    return phi
-
-
-def _sweep_backward(X, s, Y, lams, ell):
-    """phi-check at split ell: start at 0, push through inverse maps n-1..ell."""
-    n = X.shape[1]
-    n_draws = X.shape[0]
-    lams = np.atleast_1d(np.asarray(lams, dtype=float))
-    width = lams.shape[-1]
-    phi = np.zeros((n_draws, width))
-    for l in range(n - 1, ell - 1, -1):
-        sl = s[l]
-        a = sl / (sl + Y[:, l : l + 1])
-        phi = _lift_affine(phi, 1.0 / a, a * X[:, l : l + 1] / sl)
-        phi = _lift_affine(phi, 1.0, -lams / sl)
-        phi = phi - math.pi
-    return phi
-
-
-def _sweep_phases(model: ConjugatedModel, lams, ell: int):
-    X, Y = model.X[None, :], model.Y[None, :]
-    fwd = _sweep_forward(X, model.s, Y, lams, ell)[0]
-    bwd = _sweep_backward(X, model.s, Y, lams, ell)[0]
+        fwd = _lift_affine(fwd + math.pi, a[:, l : l + 1], (lams - diag[:, l : l + 1]) / s[l])
+    bwd = np.zeros(shape)
+    for l in range(diag.shape[1] - 1, ell - 1, -1):
+        al = a[:, l : l + 1]
+        bwd = _lift_affine(bwd, 1.0 / al, al * (diag[:, l : l + 1] - lams) / s[l]) - math.pi
     return fwd, bwd
 
 
@@ -221,7 +178,7 @@ def _winding_counts(fwd, bwd):
     return np.floor(winding).astype(np.int64), flags
 
 
-def phase_sweep(model: ConjugatedModel, lam: float, ell: int) -> PhaseSweep:
+def phase_sweep(model: TridiagonalModel, lam: float, ell: int) -> PhaseSweep:
     """Count eigenvalues <= lam as the winding between a forward phase pushed
     from the top rows and a backward phase pushed from the bottom rows.
 
@@ -231,13 +188,13 @@ def phase_sweep(model: ConjugatedModel, lam: float, ell: int) -> PhaseSweep:
     """
     if not 0 <= ell <= model.n:
         raise ValueError(f"ell must lie in [0, {model.n}], got {ell}")
-    fwd, bwd = _sweep_phases(model, np.array([lam], dtype=float), ell)
+    fwd, bwd = _sweep_phases(model.diag[None, :], model.offdiag[None, :], [lam], ell)
     count, flagged = _winding_counts(fwd, bwd)
     return PhaseSweep(
-        phi_fwd=float(fwd[0]),
-        phi_bwd=float(bwd[0]),
-        count=int(count[0]),
-        flagged=bool(flagged[0]),
+        phi_fwd=float(fwd[0, 0]),
+        phi_bwd=float(bwd[0, 0]),
+        count=int(count[0, 0]),
+        flagged=bool(flagged[0, 0]),
     )
 
 
@@ -246,9 +203,7 @@ def _sweep_counts_block(diag, offdiag, lams, ell):
 
     lams is (K,) shared by all draws or (C, K), one row per draw.
     """
-    s, y = _conjugate_block(offdiag)
-    fwd = _sweep_forward(diag, s, y, lams, ell)
-    return _winding_counts(fwd, _sweep_backward(diag, s, y, lams, ell))
+    return _winding_counts(*_sweep_phases(diag, offdiag, lams, ell))
 
 
 def _strict_int_part(x: float) -> int:
@@ -299,7 +254,7 @@ def semicircle_residual(mu: float, n: int) -> float:
     return angle_sum - float(mass)
 
 
-def relative_phase(model: ConjugatedModel, lam: float, mu: float, ell: int) -> float:
+def relative_phase(model: TridiagonalModel, lam: float, mu: float, ell: int) -> float:
     """Forward phase with the deterministic fast rotation removed.
 
     Applies the affine straightening tied to rho_ell, then subtracts the
@@ -308,9 +263,9 @@ def relative_phase(model: ConjugatedModel, lam: float, mu: float, ell: int) -> f
     params = carousel_params(mu, model.n)
     if not 0 <= ell < params.n0:
         raise ValueError(f"ell must lie in [0, n0={params.n0}), got {ell}")
-    fwd, _ = _sweep_phases(model, np.array([lam], dtype=float), ell)
+    fwd, _ = _sweep_phases(model.diag[None, :], model.offdiag[None, :], [lam], ell)
     rho = params.rho[ell]
-    straightened = lift_affine(float(fwd[0]), 1.0 / rho.imag, -rho.real)
+    straightened = float(_lift_affine(fwd[0, 0], 1.0 / rho.imag, -rho.real))
     correction = 2.0 * float(np.sum(math.pi - np.angle(params.rho[:ell])))
     return straightened - correction
 
@@ -381,19 +336,22 @@ def verify_counts(
     )
 
 
-def straightening_map(model: ConjugatedModel, lam: float, mu: float, ell: int) -> LiftedCircleMap:
-    """Slow-variation transfer map between consecutive straightened phases."""
+def straightening_map(model: TridiagonalModel, lam: float, mu: float, ell: int) -> Callable:
+    """Slow-variation transfer map between consecutive straightened phases.
+
+    The lift of one affine map r -> scale*r + offset, composed of: the inverse
+    straightening r -> rho_ell.imag*r + rho_ell.real, the shift
+    r -> r + (lam - mu)/s_ell, the random factor r -> a*(r - X_ell/s_ell)
+    with a = s_ell/(s_ell + Y_ell), and the straightening
+    r -> (r - rho_{ell+1}.real)/rho_{ell+1}.imag.
+    """
     params = carousel_params(mu, model.n)
     if not 0 <= ell < params.n0 - 1:
         raise ValueError(f"ell must lie in [0, n0-1={params.n0 - 1}), got {ell}")
-    rho_l = params.rho[ell]
-    rho_next = params.rho[ell + 1]
-    s, scale, shift = model.transfer_params(ell)
-    return LiftedCircleMap(
-        (
-            AffineAction(1.0 / rho_l.imag, -rho_l.real).inverse(),
-            AffineAction(1.0, (lam - mu) / s),
-            AffineAction(scale, shift),
-            AffineAction(1.0 / rho_next.imag, -rho_next.real),
-        )
-    )
+    rho, rho_next = params.rho[ell], params.rho[ell + 1]
+    s, y = _conjugate_block(model.offdiag[None, :])
+    a = s[ell] / (s[ell] + y[0, ell])
+    shift = rho.real + (lam - mu - model.diag[ell]) / s[ell]
+    scale = a * rho.imag / rho_next.imag
+    offset = (a * shift - rho_next.real) / rho_next.imag
+    return lambda x: _lift_affine(x, scale, offset / scale)

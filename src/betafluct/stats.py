@@ -34,6 +34,8 @@ def cue_variance_oracle(n: int, arc_length: float) -> float:
     sum_{k>=1} sin^2(k x) / k^2 = x (pi - x) / 2 for x in [0, pi], so the
     value is exact up to rounding, tighter than any fixed truncation.
     """
+    if n < 1:
+        raise ValueError(f"n must be at least 1, got {n}")
     if not 0.0 <= arc_length <= TWO_PI:
         raise ValueError(f"arc length must lie in [0, 2*pi], got {arc_length}")
     x = 0.5 * arc_length

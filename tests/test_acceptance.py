@@ -8,6 +8,7 @@ suite is deterministic.
 import dataclasses
 import math
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -283,7 +284,7 @@ def test_criterion_9_worker_reproducibility(tmp_path):
             out = str(tmp_path / f"{name}-w{workers}")
             rc = main(args + ["--workers", workers, "--out", out])
             assert rc == 0
-            outputs.append(open(out + ".csv", "rb").read())
+            outputs.append(Path(out + ".csv").read_bytes())
         ok &= outputs[0] == outputs[1] == outputs[2]
     profile_1 = regularity_profile(2.0, 50.0, m=512, seed=15, workers=1)
     profile_4 = regularity_profile(2.0, 50.0, m=512, seed=15, workers=4)

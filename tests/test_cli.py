@@ -2,6 +2,7 @@ import json
 import math
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -42,12 +43,12 @@ def test_scan_cbe_schema_and_reproducibility(tmp_path):
             "--grid", "geom:1:16:4"]
     assert main(args + ["--out", out1]) == 0
     assert main(args + ["--out", out2]) == 0
-    csv1 = open(out1 + ".csv", "rb").read()
-    assert csv1 == open(out2 + ".csv", "rb").read()
+    csv1 = Path(out1 + ".csv").read_bytes()
+    assert csv1 == Path(out2 + ".csv").read_bytes()
     header, rows = _read_csv(out1 + ".csv")
     assert header == SCAN_HEADER
     assert len(rows) == 4
-    manifest = json.load(open(out1 + ".manifest.json"))
+    manifest = json.loads(Path(out1 + ".manifest.json").read_text())
     assert manifest["command"] == "scan-cbe"
     assert manifest["master_seed"] == 3
     assert "duration_s" in manifest and "version" in manifest
@@ -63,7 +64,7 @@ def test_scan_worker_count_does_not_change_bytes(tmp_path):
     for workers in ("1", "4"):
         out = str(tmp_path / f"w{workers}")
         assert main(args + ["--workers", workers, "--out", out]) == 0
-        outputs.append(open(out + ".csv", "rb").read())
+        outputs.append(Path(out + ".csv").read_bytes())
     assert outputs[0] == outputs[1]
 
 
@@ -82,7 +83,7 @@ def test_json_format(tmp_path):
     rc = main(["scan-cbe", "--n", "16", "--samples", "300", "--seed", "1",
                "--grid", "geom:1:8:3", "--format", "json", "--out", out])
     assert rc == 0
-    rows = json.load(open(out + ".json"))
+    rows = json.loads(Path(out + ".json").read_text())
     assert len(rows) == 3
     assert rows[0]["ensemble"] == "cbe"
     for row in rows:
@@ -100,7 +101,7 @@ def test_tail_check_output(tmp_path):
     header, rows = _read_csv(out + ".csv")
     assert header == "b,hits,m,empirical,wilson_hi,bound"
     assert len(rows) == 2
-    manifest = json.load(open(out + ".manifest.json"))
+    manifest = json.loads(Path(out + ".manifest.json").read_text())
     assert "second_moment" in manifest
     assert "grid" not in manifest["params"]
 
@@ -143,6 +144,10 @@ def test_usage_errors_exit_2(capsys):
     assert main(["scan-cbe", "--beta", "-1", "--samples", "10"]) == 2
     assert main(["scan-cbe", "--grid", "oops"]) == 2
     assert main(["tail-check", "--samples", "0"]) == 2
+    assert main(["oracle-cue", "--n", "-5", "--grid", "0:3:3"]) == 2
+    assert main(["oracle-cue", "--n", "0"]) == 2
+    assert main(["sample", "--samples", "-2"]) == 2
+    assert main(["sample", "--samples", "0", "--ensemble", "gbe"]) == 2
     # each subcommand takes only the flags it reads
     for argv in (["verify-count", "--workers", "2"],
                  ["verify-count", "--out", "X"],

@@ -9,9 +9,8 @@ from scipy.linalg import eigvalsh_tridiagonal
 
 from betafluct.circlemap import angular_shift
 from betafluct.gaussian import (
-    ConjugatedModel,
+    TridiagonalModel,
     carousel_params,
-    conjugate_model,
     phase_sweep,
     relative_phase,
     sample_tridiagonal,
@@ -20,6 +19,7 @@ from betafluct.gaussian import (
     straightening_map,
     sturm_count,
     verify_counts,
+    _conjugate_block,
     _cross_count_chunks,
     _strict_int_part,
     _sweep_phases,
@@ -35,9 +35,20 @@ TWO_PI = 2.0 * math.pi
 def _model(diag, offdiag, beta=2.0):
     diag = np.asarray(diag, dtype=float)
     offdiag = np.asarray(offdiag, dtype=float)
-    from betafluct.gaussian import TridiagonalModel
-
     return TridiagonalModel(beta=beta, n=len(diag), diag=diag, offdiag=offdiag)
+
+
+def _conjugated_bands(model):
+    """Subdiagonal s_1..s_{n-1} and superdiagonal s_{p-1} + Y_{p-1} of the
+    conjugated model."""
+    s, y = _conjugate_block(model.offdiag[None, :])
+    return s[1:], s[:-1] + y[0, :-1]
+
+
+def _phases(model, lams, ell):
+    """One draw's forward and backward sweep phases, each (K,)."""
+    fwd, bwd = _sweep_phases(model.diag[None, :], model.offdiag[None, :], lams, ell)
+    return fwd[0], bwd[0]
 
 
 def _charpoly_coeffs(diag, sub, sup):
@@ -128,31 +139,33 @@ def test_conjugate_fixed_point():
     # off-diagonal equal to sqrt(s_0 s_1) is left unchanged by the similarity
     n = 2
     s0, s1 = math.sqrt(n - 0.5), math.sqrt(n - 1.5)
-    model = _model([0.0, 0.0], [math.sqrt(s0 * s1)])
-    conj = conjugate_model(model)
-    assert conj.Y[0] == pytest.approx(0.0, abs=1e-14)
-    assert conj.superdiag()[0] == pytest.approx(s0, abs=1e-14)
+    s, y = _conjugate_block(np.array([[math.sqrt(s0 * s1)]]))
+    assert y[0, 0] == pytest.approx(0.0, abs=1e-14)
+    assert s[0] + y[0, 0] == pytest.approx(s0, abs=1e-14)
 
 
 def test_conjugate_rejects_zero_offdiag():
+    # the conjugation needs a positive off-diagonal; the model enforces it
     with pytest.raises(ValueError):
-        conjugate_model(_model([0.0, 0.0], [0.0]))
+        _model([0.0, 0.0], [0.0])
+    with pytest.raises(ValueError):
+        _model([0.0, 0.0, 0.0], [1.0, -1.0])
 
 
 def test_conjugate_charpoly_preserved():
     model = sample_tridiagonal(2.0, 8, RngStream(43, 0))
-    conj = conjugate_model(model)
+    sub, sup = _conjugated_bands(model)
     orig = _charpoly_coeffs(model.diag, model.offdiag, model.offdiag)
-    tilted = _charpoly_coeffs(conj.X, conj.s[1:], conj.superdiag())
+    tilted = _charpoly_coeffs(model.diag, sub, sup)
     scale = np.max(np.abs(orig))
     assert np.max(np.abs(orig - tilted)) < 1e-10 * scale
 
 
 def test_conjugate_offdiag_products_match():
     model = sample_tridiagonal(0.5, 12, RngStream(43, 1))
-    conj = conjugate_model(model)
-    assert np.allclose(conj.s[1:] * conj.superdiag(), model.offdiag**2, rtol=1e-14)
-    assert np.all(conj.superdiag() > 0)
+    sub, sup = _conjugated_bands(model)
+    assert np.allclose(sub * sup, model.offdiag**2, rtol=1e-14)
+    assert np.all(sup > 0)
 
 
 # ---------------------------------------------------------------- sturm
@@ -201,8 +214,8 @@ def test_sturm_monotone_with_limits():
 
 
 def test_phase_sweep_far_left():
-    conj = conjugate_model(sample_tridiagonal(2.0, 24, RngStream(46, 0)))
-    sweep = phase_sweep(conj, -1e6, 12)
+    model = sample_tridiagonal(2.0, 24, RngStream(46, 0))
+    sweep = phase_sweep(model, -1e6, 12)
     assert sweep.count == 0
     assert sweep.phi_fwd == pytest.approx(math.pi, abs=1e-3)
     assert sweep.phi_bwd == pytest.approx(0.0, abs=1e-3)
@@ -213,9 +226,8 @@ def test_phase_sweep_split_independent():
     for d in range(100):
         rng = RngStream(47, d)
         model = sample_tridiagonal(2.0, n, rng)
-        conj = conjugate_model(model)
         lam = rng.generator.uniform(-12, 12)
-        counts = {ell: phase_sweep(conj, lam, ell).count for ell in (0, n // 2, n)}
+        counts = {ell: phase_sweep(model, lam, ell).count for ell in (0, n // 2, n)}
         assert len(set(counts.values())) == 1
 
 
@@ -226,9 +238,9 @@ def test_phase_sweep_matches_sturm():
 
 
 def test_phase_monotone_in_lambda():
-    conj = conjugate_model(sample_tridiagonal(2.0, 24, RngStream(49, 0)))
+    model = sample_tridiagonal(2.0, 24, RngStream(49, 0))
     lams = np.linspace(-11, 11, 100)
-    fwd, bwd = _sweep_phases(conj, lams, 12)
+    fwd, bwd = _phases(model, lams, 12)
     assert np.all(np.diff(fwd) > 0)
     assert np.all(np.diff(bwd) < 0)
 
@@ -236,18 +248,17 @@ def test_phase_monotone_in_lambda():
 def test_sweep_count_jumps_at_dense_eigenvalues():
     for d in range(10):
         model = sample_tridiagonal(2.0, 48, RngStream(50, d))
-        conj = conjugate_model(model)
         eigs = eigvalsh_tridiagonal(model.diag, model.offdiag)
         for e in eigs[::7]:
-            below = phase_sweep(conj, e - 1e-6, 24)
-            above = phase_sweep(conj, e + 1e-6, 24)
+            below = phase_sweep(model, e - 1e-6, 24)
+            above = phase_sweep(model, e + 1e-6, 24)
             assert above.count - below.count == 1
 
 
 def test_phase_sweep_ell_validation():
-    conj = conjugate_model(sample_tridiagonal(2.0, 8, RngStream(50, 99)))
+    model = sample_tridiagonal(2.0, 8, RngStream(50, 99))
     with pytest.raises(ValueError):
-        phase_sweep(conj, 0.0, 9)
+        phase_sweep(model, 0.0, 9)
 
 
 # ---------------------------------------------------------------- carousel
@@ -323,23 +334,23 @@ def test_semicircle_residual_values():
 
 
 def test_relative_phase_at_zero_split_is_pi():
-    conj = conjugate_model(sample_tridiagonal(2.0, 16, RngStream(51, 0)))
-    assert relative_phase(conj, 1.0, 0.7, 0) == pytest.approx(math.pi, abs=1e-12)
+    model = sample_tridiagonal(2.0, 16, RngStream(51, 0))
+    assert relative_phase(model, 1.0, 0.7, 0) == pytest.approx(math.pi, abs=1e-12)
 
 
 def test_relative_phase_mu_zero_reduces_to_raw():
-    conj = conjugate_model(sample_tridiagonal(2.0, 16, RngStream(51, 1)))
+    model = sample_tridiagonal(2.0, 16, RngStream(51, 1))
     for ell in (1, 5, 11):
-        fwd, _ = _sweep_phases(conj, np.array([1.3]), ell)
+        fwd, _ = _phases(model, np.array([1.3]), ell)
         expected = fwd[0] - ell * math.pi
-        assert relative_phase(conj, 1.3, 0.0, ell) == pytest.approx(expected, abs=1e-10)
+        assert relative_phase(model, 1.3, 0.0, ell) == pytest.approx(expected, abs=1e-10)
 
 
 def test_relative_phase_ell_validation():
-    conj = conjugate_model(sample_tridiagonal(2.0, 16, RngStream(51, 2)))
+    model = sample_tridiagonal(2.0, 16, RngStream(51, 2))
     params = carousel_params(1.0, 16)
     with pytest.raises(ValueError):
-        relative_phase(conj, 0.0, 1.0, math.ceil(params.n0))
+        relative_phase(model, 0.0, 1.0, math.ceil(params.n0))
 
 
 def test_straightened_increment_matches_angular_shift():
@@ -348,14 +359,13 @@ def test_straightened_increment_matches_angular_shift():
     for d in range(100):
         rng = RngStream(52, d)
         model = sample_tridiagonal(2.0, 32, rng)
-        conj = conjugate_model(model)
         mu = rng.generator.uniform(0.0, 6.0)
         params = carousel_params(mu, 32)
         lam = mu + rng.generator.uniform(-1.0, 1.0) / (2.0 * math.sqrt(params.n0))
         for ell in range(0, int(params.n0) - 1, 5):
-            phi_here = relative_phase(conj, lam, mu, ell)
-            phi_next = relative_phase(conj, lam, mu, ell + 1)
-            mapping = straightening_map(conj, lam, mu, ell)
+            phi_here = relative_phase(model, lam, mu, ell)
+            phi_next = relative_phase(model, lam, mu, ell + 1)
+            mapping = straightening_map(model, lam, mu, ell)
             y = math.remainder(phi_here - float(np.angle(params.eta[ell])), TWO_PI)
             shift = angular_shift(mapping, math.pi, y)
             assert phi_next - phi_here == pytest.approx(shift, abs=1e-8)
@@ -389,8 +399,8 @@ def test_backward_phase_drift_bounded():
         params = carousel_params(mu, n)
         vals = []
         for d in range(200):
-            conj = conjugate_model(sample_tridiagonal(2.0, n, RngStream(54, d)))
-            _, bwd = _sweep_phases(conj, np.array([mu]), params.ell)
+            model = sample_tridiagonal(2.0, n, RngStream(54, d))
+            _, bwd = _phases(model, np.array([mu]), params.ell)
             vals.append((bwd[0] + TWO_PI * (n - params.ell)) ** 2)
         second_moments[n] = float(np.mean(vals))
     assert all(v < 60.0 for v in second_moments.values())
@@ -406,13 +416,12 @@ def test_verify_counts_report_fields():
 
 def test_sweep_counts_block_agrees_with_scalar():
     model = sample_tridiagonal(2.0, 12, RngStream(56, 0))
-    conj = conjugate_model(model)
     lams = np.linspace(-7, 7, 9)
     block_counts, _ = _sweep_counts_block(
         model.diag[None, :], model.offdiag[None, :], lams, ell=6
     )
     for j, lam in enumerate(lams):
-        assert phase_sweep(conj, lam, 6).count == block_counts[0, j]
+        assert phase_sweep(model, lam, 6).count == block_counts[0, j]
 
 
 @settings(max_examples=25, derandomize=True, deadline=None)

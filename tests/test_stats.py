@@ -1,4 +1,5 @@
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -66,6 +67,9 @@ def test_oracle_domain():
         cue_variance_oracle(4, -0.1)
     with pytest.raises(ValueError):
         cue_variance_oracle(4, TWO_PI + 0.1)
+    for n in (0, -5):
+        with pytest.raises(ValueError):
+            cue_variance_oracle(n, 1.0)
 
 
 # ---------------------------------------------------------------- scans
@@ -151,7 +155,7 @@ def test_cli_bytes_equal_at_one_and_two_workers(tmp_path):
         for workers in ("1", "2"):
             out = str(tmp_path / f"{name}-w{workers}")
             assert main(args + ["--workers", workers, "--out", out]) == 0
-            outputs.append(open(out + ".csv", "rb").read())
+            outputs.append(Path(out + ".csv").read_bytes())
         assert outputs[0] == outputs[1]
 
 
