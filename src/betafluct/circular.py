@@ -19,18 +19,14 @@ class VerblunskyDraw:
     uniform on [0, 2*pi) and independent of gamma.
     """
 
-    beta: float
-    n: int
     gamma: np.ndarray
     eta: float
 
+    @property
+    def n(self) -> int:
+        return len(self.gamma) + 1
+
     def __post_init__(self):
-        if self.beta <= 0:
-            raise ValueError(f"beta must be positive, got {self.beta}")
-        if self.n < 1:
-            raise ValueError(f"n must be at least 1, got {self.n}")
-        if len(self.gamma) != self.n - 1:
-            raise ValueError(f"expected {self.n - 1} coefficients, got {len(self.gamma)}")
         if len(self.gamma) and np.max(np.abs(self.gamma)) >= 1.0:
             raise ValueError("coefficients must lie in the open unit disc")
         if not 0.0 <= self.eta < TWO_PI:
@@ -73,7 +69,7 @@ def sample_verblunsky(beta: float, n: int, rng: RngStream) -> VerblunskyDraw:
     """Sample coefficients for a circular beta ensemble of n points: the
     one-draw case of the block sampler, with the same draw order."""
     gamma, eta = _sample_verblunsky_block(beta, n, 1, rng)
-    return VerblunskyDraw(beta=beta, n=n, gamma=gamma[0], eta=float(eta[0]))
+    return VerblunskyDraw(gamma=gamma[0], eta=float(eta[0]))
 
 
 def _phase_step(psi, theta, g_re, g_im, ang0):

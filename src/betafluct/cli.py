@@ -7,7 +7,6 @@ import json
 import math
 import sys
 import time
-from dataclasses import astuple
 
 import numpy as np
 
@@ -101,21 +100,26 @@ def _cmd_scan(args) -> int:
     spec = ScanSpec(
         ensemble=ensemble, beta=args.beta, n=args.n, xis=xis, center=getattr(args, "center", 0.0)
     )
-    rows = variance_scan(spec, m=args.samples, seed=args.seed, workers=args.workers)
-    _emit_table(SCAN_HEADER, [astuple(row) for row in rows], args, {"grid": list(xis)})
+    rows = [
+        (ensemble, args.beta, args.n, r.interval, r.xi, r.m, r.mean, r.variance,
+         r.var_ci_lo, r.var_ci_hi, r.ref_mean)
+        for r in variance_scan(spec, m=args.samples, seed=args.seed, workers=args.workers)
+    ]
+    _emit_table(SCAN_HEADER, rows, args, {"grid": list(xis)})
     return 0
 
 
 def _cmd_verify_count(args) -> int:
-    report = verify_counts(
+    mismatches, flagged = verify_counts(
         beta=args.beta, n=args.n, draws=args.samples, lams_per_draw=args.lams, seed=args.seed
     )
-    print(f"{report.mismatches} mismatches")
+    evaluations = args.samples * args.lams
+    print(f"{mismatches} mismatches")
     print(
-        f"checked {report.evaluations} points over {report.draws} draws "
-        f"(beta={args.beta}, n={args.n}); {report.flagged} flagged near-degenerate"
+        f"checked {evaluations} points over {args.samples} draws "
+        f"(beta={args.beta}, n={args.n}); {flagged} flagged near-degenerate"
     )
-    if report.mismatches > 0 or report.flagged_fraction >= 1e-3:
+    if mismatches > 0 or flagged / evaluations >= 1e-3:
         return 1
     return 0
 
@@ -131,11 +135,11 @@ def _cmd_tail_check(args) -> int:
         seed=args.seed,
         workers=args.workers,
     )
+    rows = [
+        (r.b, r.hits, args.samples, r.empirical, r.wilson_hi, r.bound) for r in result.rows
+    ]
     _emit_table(
-        "b,hits,m,empirical,wilson_hi,bound",
-        [astuple(row) for row in result.rows],
-        args,
-        {"second_moment": result.second_moment},
+        "b,hits,m,empirical,wilson_hi,bound", rows, args, {"second_moment": result.second_moment}
     )
     if not args.out:
         # on stderr, so that stdout holds only the table

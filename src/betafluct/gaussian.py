@@ -25,18 +25,16 @@ class TridiagonalModel:
     be positive: the phase sweep conjugates it away (see _conjugate_block).
     """
 
-    beta: float
-    n: int
     diag: np.ndarray
     offdiag: np.ndarray
 
+    @property
+    def n(self) -> int:
+        return len(self.diag)
+
     def __post_init__(self):
-        if self.beta <= 0:
-            raise ValueError(f"beta must be positive, got {self.beta}")
-        if self.n < 1:
-            raise ValueError(f"n must be at least 1, got {self.n}")
-        if len(self.diag) != self.n or len(self.offdiag) != self.n - 1:
-            raise ValueError("inconsistent band lengths")
+        if len(self.diag) < 1 or len(self.offdiag) != len(self.diag) - 1:
+            raise ValueError("need a non-empty diagonal and one off-diagonal entry fewer")
         if np.any(self.offdiag <= 0):
             raise ValueError("off-diagonal entries must be positive")
 
@@ -90,7 +88,7 @@ def sample_tridiagonal(beta: float, n: int, rng: RngStream) -> TridiagonalModel:
     """Sample the tridiagonal model of a Gaussian beta ensemble of size n: the
     one-draw case of the block sampler, with the same draw order."""
     diag, offdiag = _sample_tridiagonal_block(beta, n, 1, rng)
-    return TridiagonalModel(beta=beta, n=n, diag=diag[0], offdiag=offdiag[0])
+    return TridiagonalModel(diag=diag[0], offdiag=offdiag[0])
 
 
 def _stack_models(beta: float, n: int, master_seed: int, indices: np.ndarray):
@@ -270,20 +268,6 @@ def relative_phase(model: TridiagonalModel, lam: float, mu: float, ell: int) -> 
     return straightened - correction
 
 
-@dataclass(frozen=True)
-class CrossCountReport:
-    """Outcome of comparing phase-sweep counts against Sturm counts."""
-
-    draws: int
-    evaluations: int
-    mismatches: int
-    flagged: int
-
-    @property
-    def flagged_fraction(self) -> float:
-        return self.flagged / self.evaluations if self.evaluations else 0.0
-
-
 def _cross_count_chunks(beta: float, n: int, draws: int, lams_per_draw: int, seed: int, ell: int):
     """Both eigenvalue counters on random draws, BLOCK_SIZE draws at a time.
 
@@ -312,13 +296,13 @@ def verify_counts(
     draws: int,
     lams_per_draw: int,
     seed: int,
-) -> CrossCountReport:
+) -> tuple[int, int]:
     """Cross-check the two eigenvalue counters on random spectral parameters.
 
     For each sampled model, lams_per_draw uniform points covering the
     spectrum are counted by phase sweep and by Sturm pivots; counts must
     agree exactly except at flagged near-degenerate points. The sweep splits
-    at ell = n // 2.
+    at ell = n // 2. Returns (unflagged mismatches, flagged points).
     """
     if draws < 1 or lams_per_draw < 1:
         raise ValueError("draws and lams_per_draw must be positive")
@@ -328,12 +312,7 @@ def verify_counts(
     for *_, sweep, flags, sturm in chunks:
         mismatches += int(np.sum((sweep != sturm) & ~flags))
         flagged += int(np.sum(flags))
-    return CrossCountReport(
-        draws=draws,
-        evaluations=draws * lams_per_draw,
-        mismatches=mismatches,
-        flagged=flagged,
-    )
+    return mismatches, flagged
 
 
 def straightening_map(model: TridiagonalModel, lam: float, mu: float, ell: int) -> Callable:

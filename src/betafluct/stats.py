@@ -80,9 +80,6 @@ class ScanSpec:
 
 @dataclass(frozen=True)
 class ScanRow:
-    ensemble: str
-    beta: float
-    n: int
     interval: str
     xi: float
     m: int
@@ -105,7 +102,6 @@ class BoundFit:
 class TailRow:
     b: float
     hits: int
-    m: int
     empirical: float
     wilson_hi: float
     bound: float
@@ -152,21 +148,18 @@ def _run_ordered(worker, tasks: list, workers: int) -> list:
         return list(pool.map(worker, tasks, chunksize=1))
 
 
-def _scan_counts(task) -> np.ndarray:
-    """Integer counts for replicas [start, stop) of one scan row."""
-    ensemble, beta, n, x, lam_lo, lam_hi, seed, base, start, stop = task
+def _scan_worker(task):
+    """(offset, bincount) histogram of one scan row's counts for replicas
+    [start, stop), at the row's levels from _scan_row_params."""
+    ensemble, beta, n, levels, seed, base, start, stop = task
     indices = base + np.arange(start, stop)
     if ensemble in ("cbe", "sine"):
         gamma, eta = _stack_draws(beta, n, seed, indices)
-        return _count_arcs_block(gamma, eta, n, np.array([x]))[:, 0]
-    diag, offdiag = _stack_models(beta, n, seed, indices)
-    counts = _sturm_block(diag, offdiag, np.array([lam_lo, lam_hi]))
-    return counts[:, 1] - counts[:, 0]
-
-
-def _scan_worker(task):
-    """(offset, bincount) histogram of one block's counts."""
-    counts = _scan_counts(task)
+        counts = _count_arcs_block(gamma, eta, n, np.array(levels))[:, 0]
+    else:
+        diag, offdiag = _stack_models(beta, n, seed, indices)
+        below = _sturm_block(diag, offdiag, np.array(levels))
+        counts = below[:, 1] - below[:, 0]
     offset = int(counts.min())
     return offset, np.bincount(counts - offset)
 
@@ -221,15 +214,15 @@ def bootstrap_variance_ci(
 
 
 def _scan_row_params(spec: ScanSpec, xi: float):
-    """Count arguments (x, lam_lo, lam_hi) and output fields (interval, xi,
-    ref_mean) of the scan row at scale xi."""
+    """Count levels ((x,) for cbe and sine, (lam_lo, lam_hi) for gbe) and
+    output fields (interval, xi, ref_mean) of the scan row at scale xi."""
     if spec.ensemble == "gbe":
         half = 0.5 * xi / math.sqrt(spec.n)
         lam_lo, lam_hi = spec.center - half, spec.center + half
         ref_mean = semicircle_count(spec.n, lam_lo, lam_hi)
-        return (0.0, lam_lo, lam_hi), (f"{lam_lo!r}:{lam_hi!r}", min(xi, float(spec.n)), ref_mean)
+        return (lam_lo, lam_hi), (f"{lam_lo!r}:{lam_hi!r}", min(xi, float(spec.n)), ref_mean)
     interval = repr(xi / spec.n) if spec.ensemble == "cbe" else repr(float(xi))
-    return (xi, 0.0, 0.0), (interval, float(xi), xi / TWO_PI)
+    return (xi,), (interval, float(xi), xi / TWO_PI)
 
 
 def variance_scan(spec: ScanSpec, m: int, seed: int, workers: int = 1) -> list[ScanRow]:
@@ -251,8 +244,8 @@ def variance_scan(spec: ScanSpec, m: int, seed: int, workers: int = 1) -> list[S
     params = [_scan_row_params(spec, xi) for xi in spec.xis]
     blocks = list(_iter_blocks(m))
     tasks = [
-        (spec.ensemble, spec.beta, spec.n, *count_args, seed, row_idx * m, start, stop)
-        for row_idx, (count_args, _) in enumerate(params)
+        (spec.ensemble, spec.beta, spec.n, levels, seed, row_idx * m, start, stop)
+        for row_idx, (levels, _) in enumerate(params)
         for start, stop in blocks
     ]
     results = _run_ordered(_scan_worker, tasks, workers)
@@ -267,9 +260,6 @@ def variance_scan(spec: ScanSpec, m: int, seed: int, workers: int = 1) -> list[S
         )
         rows.append(
             ScanRow(
-                ensemble=spec.ensemble,
-                beta=spec.beta,
-                n=spec.n,
                 interval=interval,
                 xi=xi_out,
                 m=row_m,
@@ -362,7 +352,6 @@ def tail_check(
         TailRow(
             b=b,
             hits=int(h),
-            m=m,
             empirical=float(h / m),
             wilson_hi=wilson_upper(int(h), m),
             bound=12.0 * math.exp(-b / 12.0),

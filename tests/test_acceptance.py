@@ -144,7 +144,7 @@ def test_criterion_3_oracle_anchored_slope(beta2_log_scans):
     t0 = time.monotonic()
     rows = beta2_log_scans[1024]
     oracle_rows = [
-        dataclasses.replace(row, variance=cue_variance_oracle(row.n, row.xi / row.n))
+        dataclasses.replace(row, variance=cue_variance_oracle(1024, row.xi / 1024))
         for row in rows
     ]
     slope = fit_log_bound(rows).slope

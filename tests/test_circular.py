@@ -22,7 +22,7 @@ TWO_PI = 2.0 * math.pi
 
 
 def _zero_draw(n, eta):
-    return VerblunskyDraw(beta=2.0, n=n, gamma=np.zeros(n - 1, dtype=complex), eta=eta)
+    return VerblunskyDraw(gamma=np.zeros(n - 1, dtype=complex), eta=eta)
 
 
 def test_verblunsky_n1_has_no_coefficients():

@@ -28,9 +28,6 @@ TWO_PI = 2.0 * math.pi
 
 def _row(xi, variance):
     return ScanRow(
-        ensemble="cbe",
-        beta=2.0,
-        n=64,
         interval=repr(xi / 64),
         xi=xi,
         m=100,
