@@ -152,6 +152,8 @@ def _cmd_tail_check(args) -> int:
 def _cmd_semicircle_residual(args) -> int:
     lines = []
     for n in (int(v) for v in _parse_float_list(args.n_grid)):
+        if n < 1:
+            raise ValueError(f"n must be at least 1, got {n}")
         root = math.sqrt(n)
         for factor in _parse_float_list(args.mu_factors):
             mu = factor * root

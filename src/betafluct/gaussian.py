@@ -304,6 +304,8 @@ def verify_counts(
     agree exactly except at flagged near-degenerate points. The sweep splits
     at ell = n // 2. Returns (unflagged mismatches, flagged points).
     """
+    if n < 1:
+        raise ValueError(f"n must be at least 1, got {n}")
     if draws < 1 or lams_per_draw < 1:
         raise ValueError("draws and lams_per_draw must be positive")
     mismatches = 0

@@ -115,6 +115,8 @@ class TailCheckResult:
 
 def default_grid(n: int, cap: float | None = None) -> tuple:
     """Geometric grid of 12 scale variables from 1 to n/2 (optionally capped)."""
+    if n < 1:
+        raise ValueError(f"n must be at least 1, got {n}")
     top = n / 2.0 if cap is None else min(n / 2.0, cap)
     return tuple(float(v) for v in np.geomspace(1.0, top, 12))
 
@@ -321,11 +323,11 @@ def _tail_worker(task):
 def tail_check(
     beta: float,
     n: int,
+    m: int,
+    seed: int,
     theta: float | None = None,
     a: float = 0.0,
     b_grid=(6.0, 12.0, 24.0, 36.0),
-    m: int = 10**6,
-    seed: int = 0,
     workers: int = 1,
 ) -> TailCheckResult:
     """Empirical exceedance probabilities of the phase against the universal
@@ -334,6 +336,8 @@ def tail_check(
     Also reports the empirical second moment of (psi - a), which the same
     argument bounds by 3500. The phase is taken at the full depth n-1.
     """
+    if n < 1:
+        raise ValueError(f"n must be at least 1, got {n}")
     if theta is None:
         theta = 1.0 / n
     if not 0.0 <= theta <= 1.0 / n:

@@ -87,6 +87,7 @@ def test_json_format(tmp_path):
     assert len(rows) == 3
     assert rows[0]["ensemble"] == "cbe"
     for row in rows:
+        assert list(row) == SCAN_HEADER.split(",")
         assert isinstance(row["interval"], str)
         assert type(row["n"]) is int and type(row["m"]) is int
         for key in ("beta", "xi", "mean", "variance", "var_ci_lo", "var_ci_hi", "ref_mean"):
@@ -95,12 +96,17 @@ def test_json_format(tmp_path):
 
 def test_tail_check_output(tmp_path):
     out = str(tmp_path / "tail")
-    rc = main(["tail-check", "--beta", "2", "--n", "20", "--samples", "4000", "--seed", "6",
-               "--b-grid", "6,12", "--out", out])
+    args = ["tail-check", "--beta", "2", "--n", "20", "--samples", "4000", "--seed", "6",
+            "--b-grid", "6,12"]
+    rc = main(args + ["--out", out])
     assert rc == 0
     header, rows = _read_csv(out + ".csv")
     assert header == "b,hits,m,empirical,wilson_hi,bound"
     assert len(rows) == 2
+    assert [row[2] for row in rows] == ["4000", "4000"]
+    assert main(args + ["--format", "json", "--out", out]) == 0
+    json_rows = json.loads(Path(out + ".json").read_text())
+    assert [list(row) for row in json_rows] == [header.split(",")] * 2
     manifest = json.loads(Path(out + ".manifest.json").read_text())
     assert "second_moment" in manifest
     assert "grid" not in manifest["params"]
@@ -159,6 +165,18 @@ def test_usage_errors_exit_2(capsys):
                  ["scan-sine", "--center", "1"]):
         assert main(argv) == 2, argv
     capsys.readouterr()
+    # a bad size is named where it enters, not by a later arithmetic error
+    for argv in (["tail-check", "--n", "0"],
+                 ["tail-check", "--n", "-3"],
+                 ["verify-count", "--n", "0"],
+                 ["verify-count", "--n", "-3"],
+                 ["scan-cbe", "--n", "0"],
+                 ["scan-gbe", "--n", "0"],
+                 ["scan-sine", "--n", "0"],
+                 ["scan-cbe", "--n", "-1"],
+                 ["semicircle-residual", "--n-grid", "-4"]):
+        assert main(argv) == 2, argv
+        assert f"n must be at least 1, got {argv[-1]}" in capsys.readouterr().err, argv
 
 
 def test_cli_entrypoint_subprocess():

@@ -221,6 +221,18 @@ def test_phase_sweep_far_left():
     assert sweep.phi_bwd == pytest.approx(0.0, abs=1e-3)
 
 
+def test_phase_sweep_flags_a_level_on_an_eigenvalue():
+    # ill-conditioned counts are flagged, not silently rounded
+    one = _model([0.3], [])
+    for ell in (0, 1):
+        sweep = phase_sweep(one, 0.3, ell)
+        assert sweep.count == 1 and sweep.flagged
+    assert not phase_sweep(one, 0.5, 0).flagged
+    two = _model([0.0, 0.0], [1.0])  # eigenvalues -1, 1
+    for lam, flagged in ((-1.0, True), (0.0, False), (1.0, True)):
+        assert phase_sweep(two, lam, 1).flagged is flagged
+
+
 def test_phase_sweep_split_independent():
     n = 32
     for d in range(100):
