@@ -65,7 +65,12 @@ def beta_1s_sample(s, rng: RngStream, size=None):
     if np.any(s <= 0):
         raise ValueError("beta parameter s must be positive")
     u = rng.generator.random(size if size is not None else s.shape or None)
-    return 1.0 - u ** (1.0 / s)
+    if np.ndim(u) == 0:
+        return 1.0 - u ** (1.0 / s)
+    # in place: two (count, n-1) temporaries of a block draw left the peak
+    # memory of a run to where the allocator happened to put them
+    u **= 1.0 / s
+    return np.subtract(1.0, u, out=u)
 
 
 def block_start(indices) -> int:

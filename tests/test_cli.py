@@ -35,6 +35,7 @@ def test_verify_count_reports_zero_mismatches(capsys):
     captured = capsys.readouterr()
     assert rc == 0
     assert "0 mismatches" in captured.out
+    assert "checked 5000 points over 100 draws" in captured.out
 
 
 def test_scan_cbe_schema_and_reproducibility(tmp_path):
