@@ -72,38 +72,51 @@ def sample_verblunsky(beta: float, n: int, rng: RngStream) -> VerblunskyDraw:
     return VerblunskyDraw(gamma=gamma[0], eta=float(eta[0]))
 
 
-def _phase_step(psi, theta, g_re, g_im, ang0):
-    """One Prufer increment: psi + theta + 2*Im log((1-g)/(1-g e^{i psi})).
-
-    Both logs stay on the principal branch: 1-g and 1-g*e^{i psi} sit in the
-    open disc of center 1 and radius |g| < 1, so their real parts are positive
-    and no winding bookkeeping is needed.
-    """
-    c = np.cos(psi)
-    s = np.sin(psi)
-    re = 1.0 - (g_re * c - g_im * s)
-    im = -(g_re * s + g_im * c)
-    return psi + theta + 2.0 * (ang0 - np.arctan2(im, re))
-
-
 def _final_phases(gamma: np.ndarray, thetas: np.ndarray, a: float = 0.0) -> np.ndarray:
     """psi_{J}(theta, a) for a block of draws evaluated at several thetas.
 
     gamma: (C, J) complex coefficients; thetas: (K,) angles shared by all
     draws. Returns the depth-J phase matrix of shape (C, K).
+
+    The Prufer step psi += theta + 2*(arg(1-g) - arg(1-g e^{i psi})) runs on
+    u = e^{i psi}, so it costs one arctan2 and no cos or sin: with
+    q = (1-g)*conj(1-g u), the increment is theta + 2*arg q and u moves to
+    u e^{i theta} q/conj(q). arg(1-g) and arg(1-g u) both lie in
+    (-pi/2, pi/2), since 1-g and 1-g u sit in the disc of center 1 and radius
+    |g| < 1, so their difference is the principal argument of q.
     """
     gamma = np.atleast_2d(gamma)
-    thetas = np.atleast_1d(np.asarray(thetas, dtype=float))
+    thetas = np.atleast_1d(np.asarray(thetas, dtype=float))[:, None]
     n_draws, depth = gamma.shape
-    g_re, g_im = gamma.real, gamma.imag  # views: no (C, J) copies
-    # In place over 1 - g_re: one (C, J) temporary fewer at the peak of a
-    # large block.
-    ang0 = np.subtract(1.0, g_re)
-    np.arctan2(-g_im, ang0, out=ang0)
-    psi = np.broadcast_to(thetas + a, (n_draws, thetas.size)).copy()
+    # (K, C) buffers, so each step broadcasts one coefficient column along
+    # contiguous rows; e^{i theta} is tiled, since a same-shape multiply is
+    # faster than a broadcast one. Only the args of q are summed per step,
+    # and psi = theta + a + J*theta + 2*sum(arg q) is assembled at the end.
+    shape = (thetas.size, n_draws)
+    psi0 = thetas + a
+    u = np.exp(1j * np.broadcast_to(psi0, shape))
+    rot = np.broadcast_to(np.exp(1j * thetas), shape).copy()
+    winding = np.zeros(shape)
+    q = np.empty(shape, dtype=complex)
+    q_bar = np.empty(shape, dtype=complex)
+    arg = np.empty(shape)
+    c = np.empty(n_draws, dtype=complex)
+    cg = np.empty(n_draws, dtype=complex)
     for j in range(depth):
-        psi = _phase_step(psi, thetas, g_re[:, j : j + 1], g_im[:, j : j + 1], ang0[:, j : j + 1])
-    return psi
+        g = gamma[:, j]
+        np.subtract(1.0, g, out=c)
+        np.conjugate(c, out=c)
+        np.multiply(c, g, out=cg)
+        # conj(q) = conj(1-g) * (1 - g u), and arg q = -arg conj(q)
+        np.multiply(u, cg, out=q_bar)
+        np.subtract(c, q_bar, out=q_bar)
+        np.arctan2(q_bar.imag, q_bar.real, out=arg)
+        winding -= arg
+        np.conjugate(q_bar, out=q)
+        u *= rot
+        u *= q
+        u /= q_bar
+    return (psi0 + depth * thetas + 2.0 * winding).T
 
 
 def prufer_evaluate(

@@ -114,10 +114,15 @@ class TailCheckResult:
 
 
 def default_grid(n: int, cap: float | None = None) -> tuple:
-    """Geometric grid of 12 scale variables from 1 to n/2 (optionally capped)."""
+    """Geometric grid of 12 scale variables from 1 to n/2 (optionally capped).
+
+    Raises ValueError when the top is below 1, where the grid would run
+    downward."""
     if n < 1:
         raise ValueError(f"n must be at least 1, got {n}")
     top = n / 2.0 if cap is None else min(n / 2.0, cap)
+    if top < 1.0:
+        raise ValueError(f"n={n} is too small for the default grid (top {top:g} < 1); pass --grid")
     return tuple(float(v) for v in np.geomspace(1.0, top, 12))
 
 
@@ -342,6 +347,8 @@ def tail_check(
         theta = 1.0 / n
     if not 0.0 <= theta <= 1.0 / n:
         raise ValueError(f"theta must lie in [0, 1/n]={1.0 / n}, got {theta}")
+    if not math.isfinite(a):
+        raise ValueError(f"a must be finite, got {a}")
     if m < 1:
         raise ValueError(f"need at least 1 replica, got {m}")
     b_grid = tuple(float(b) for b in b_grid)

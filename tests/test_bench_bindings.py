@@ -4,6 +4,10 @@ rename in the package must not silently drop a benchmark metric."""
 import importlib.util
 import pathlib
 
+import numpy as np
+
+from betafluct import stats
+
 TRACER = pathlib.Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
 # Bindings of code paths the package no longer has; the tracer reports them
 # as absent.
@@ -29,3 +33,17 @@ def test_tracer_bindings_resolve():
         except LookupError:
             absent.add(binding)
     assert absent <= STALE
+
+
+def test_tracer_counts_prufer_steps():
+    # the work formula reads _final_phases' (C, J) block and its K levels
+    tracer = _load_tracer().Tracer()
+    c, depth, k = 5, 7, 3
+    gamma, eta = stats._stack_draws(2.0, depth + 1, 1, np.arange(c))
+    tracer.install()
+    try:
+        counts = stats._count_arcs_block(gamma, eta, depth + 1, np.linspace(0.5, 4.0, k))
+    finally:
+        tracer.uninstall()
+    assert counts.shape == (c, k)
+    assert tracer.counters["circular.prufer_steps"] == c * k * depth

@@ -233,6 +233,86 @@ def test_cbe_points_cross_oracle_count_arc():
             assert count_arc(draw, x) == int(np.sum((pts > 0) & (pts <= x)))
 
 
+def _cmv_eigenangles(gamma, eta):
+    """Arguments in [0, 2*pi) of the eigenvalues of the CMV matrix of one
+    draw, built without the Prufer recursion.
+
+    The deformed coefficients gamma map to Verblunsky coefficients
+    alpha_k = gamma_k e^{-i phi_k}, phi_0 = 0, phi_{k+1} = phi_k - 2 arg(1 - gamma_k),
+    closed by the unimodular alpha_{n-1} = e^{-i(eta + phi_{n-1})}. Then
+    C = L M, where L holds the 2x2 blocks Theta_0, Theta_2, ... and M holds
+    [1], Theta_1, Theta_3, ...; Theta_k = [[conj(alpha_k), rho_k], [rho_k, -alpha_k]]
+    with rho_k = sqrt(1 - |alpha_k|^2), and the last block is the 1x1
+    conj(alpha_{n-1}).
+    """
+    n = len(gamma) + 1
+    alpha = np.empty(n, dtype=complex)
+    phi = 0.0
+    for k, g in enumerate(gamma):
+        alpha[k] = g * np.exp(-1j * phi)
+        phi -= 2.0 * np.angle(1.0 - g)
+    alpha[-1] = np.exp(-1j * (eta + phi))
+    factors = [np.zeros((n, n), dtype=complex) for _ in range(2)]
+    factors[1][0, 0] = 1.0
+    for k in range(n):
+        block = factors[k % 2]
+        if k == n - 1:
+            block[k, k] = np.conj(alpha[k])
+        else:
+            rho = math.sqrt(1.0 - abs(alpha[k]) ** 2)
+            block[k : k + 2, k : k + 2] = [[np.conj(alpha[k]), rho], [rho, -alpha[k]]]
+    return np.mod(np.angle(np.linalg.eigvals(factors[0] @ factors[1])), TWO_PI)
+
+
+def test_count_arcs_match_cmv_eigenvalues():
+    # an oracle that shares no code with the Prufer kernel: count the CMV
+    # eigenvalue arguments in (0, x/n]
+    draws, per_draw = 20, 50
+    checked = skipped = 0
+    for beta in (0.5, 1.0, 2.0, 4.0):
+        for n in (1, 2, 3, 8, 33, 100):
+            gamma, eta = _stack_draws(beta, n, 41, np.arange(draws))
+            xs_rng = RngStream(42, n)
+            for d in range(draws):
+                angles = _cmv_eigenangles(gamma[d], eta[d])
+                xs = xs_rng.generator.uniform(0.0, TWO_PI * n, per_draw)
+                counts = _count_arcs_block(gamma[d : d + 1], eta[d : d + 1], n, xs)[0]
+                for x, count in zip(xs, counts):
+                    if np.min(np.abs(angles - x / n)) < 1e-9:
+                        skipped += 1
+                        continue
+                    checked += 1
+                    assert count == np.count_nonzero((angles > 0.0) & (angles <= x / n)), (beta, n, d, x)
+    assert checked + skipped == 4 * 6 * draws * per_draw
+    assert skipped <= 0.001 * checked
+
+
+def _phases_longdouble(gamma, thetas, a):
+    """The Prufer recursion psi += theta + 2*(arg(1-g) - arg(1-g e^{i psi}))
+    in extended precision, by cos/sin of the phase itself."""
+    g = np.asarray(gamma, dtype=np.clongdouble)
+    th = np.asarray(thetas, dtype=np.longdouble)
+    psi = np.broadcast_to(th + np.longdouble(a), (g.shape[0], th.size)).copy()
+    for j in range(g.shape[1]):
+        gj = g[:, j : j + 1]
+        w = 1 - gj * (np.cos(psi) + 1j * np.sin(psi))
+        psi += th + 2 * (np.angle(1 - gj) - np.angle(w))
+    return psi
+
+
+@pytest.mark.skipif(
+    np.finfo(np.longdouble).eps >= np.finfo(float).eps, reason="long double is double here"
+)
+@pytest.mark.parametrize("beta", (0.5, 2.0))
+def test_final_phases_match_extended_precision(beta):
+    for n in (10, 300, 3000):
+        gamma, _ = _stack_draws(beta, n, 43, np.arange(4))
+        thetas = np.array([0.5, 10.0, 300.0]) / n
+        psi = _final_phases(gamma, thetas, 0.3)
+        exact = _phases_longdouble(gamma, thetas, 0.3)
+        assert np.max(np.abs(psi - exact)) < 1e-9, n
+
+
 def test_sine_window_empty():
     points = sine_beta_window(2.0, 0.0, 64, RngStream(33, 0))
     assert len(points) == 0

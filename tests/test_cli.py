@@ -178,6 +178,22 @@ def test_usage_errors_exit_2(capsys):
                  ["semicircle-residual", "--n-grid", "-4"]):
         assert main(argv) == 2, argv
         assert f"n must be at least 1, got {argv[-1]}" in capsys.readouterr().err, argv
+    for argv in (["tail-check", "--a", "nan", "--samples", "10"],
+                 ["tail-check", "--a", "inf", "--samples", "10"]):
+        assert main(argv) == 2, argv
+        assert f"a must be finite, got {argv[2]}" in capsys.readouterr().err, argv
+    # the default grid would run downward from 1 when its top is below 1
+    for argv in (["scan-cbe", "--n", "1", "--samples", "10"],
+                 ["scan-sine", "--n", "12", "--samples", "10"]):
+        assert main(argv) == 2, argv
+        err = capsys.readouterr().err
+        assert f"n={argv[2]}" in err and "--grid" in err, argv
+
+
+def test_scan_explicit_grid_at_n1(capsys):
+    assert main(["scan-cbe", "--n", "1", "--samples", "10", "--seed", "3", "--grid", "1:3:2"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 3
 
 
 def test_cli_entrypoint_subprocess():

@@ -289,3 +289,8 @@ def test_default_grid_shape():
     assert len(grid) == 12
     assert grid[0] == pytest.approx(1.0)
     assert grid[-1] == pytest.approx(128.0)
+    assert default_grid(2) == (1.0,) * 12
+    with pytest.raises(ValueError, match="n=1 "):
+        default_grid(1)
+    with pytest.raises(ValueError, match="n=12 "):
+        default_grid(12, cap=12 / 16.0)
