@@ -14,6 +14,9 @@ from .rng import BLOCK_SIZE, RngStream, block_start, chi_sample, gaussian_sample
 # Relative winding distance to an integer below which a sweep count is
 # reported as ill-conditioned instead of silently rounded.
 NEAR_DEGENERATE_TOL = 1e-8
+# Levels per tile of _sturm_block: two (tile, C) float copies, 0.5 MB at
+# C = 2048, stay cache-sized; wider tiles cost memory and gain little.
+STURM_TILE = 16
 
 
 @dataclass(frozen=True)
@@ -129,18 +132,67 @@ def sturm_count(model: TridiagonalModel, lam) -> int | np.ndarray:
 
 def _sturm_block(diag: np.ndarray, offdiag: np.ndarray, lams: np.ndarray) -> np.ndarray:
     """Vectorized pivot counts: diag (C, n), offdiag (C, n-1), lams (K,) shared
-    by all draws or (C, K) one row per draw -> (C, K)."""
+    by all draws or (C, K) one row per draw -> (C, K).
+
+    Pivot p is d_p = (diag_p - lam) - offdiag_p^2 / d_{p-1}, in that order.
+    A column of a (C, n) block is one element per row, a page apart at
+    gbe-scan's size, so the levels are copied STURM_TILE at a time into
+    contiguous (tile, C) rows, and the pivots, updated in place, are (K, C).
+    """
     n = diag.shape[1]
-    tiny = np.finfo(float).eps * (1.0 + np.abs(lams))
+    lam = np.asarray(lams, dtype=float).T
+    lam = lam[:, None] if lam.ndim == 1 else lam  # (K, 1) or (K, C)
+    shape = (lam.shape[0], diag.shape[0])
+    neg_tiny = -(np.finfo(float).eps * (1.0 + np.abs(lam)))
+    d, t = np.empty(shape), np.empty(shape)
+    below = np.empty(shape, dtype=bool)
+    neg = np.zeros(shape, dtype=np.int64)
+    rows = np.empty((min(STURM_TILE, n - 1), diag.shape[0]))
+    squares = np.empty_like(rows)
+
+    def tally():
+        if not d.all():
+            np.copyto(d, neg_tiny, where=d == 0.0)
+        np.less(d, 0.0, out=below)
+        np.add(neg, below, out=neg)
+
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        d = diag[:, 0:1] - lams
-        d = np.where(d == 0.0, -tiny, d)
-        neg = (d < 0).astype(np.int64)
-        for p in range(1, n):
-            d = (diag[:, p : p + 1] - lams) - offdiag[:, p - 1 : p] ** 2 / d
-            d = np.where(d == 0.0, -tiny, d)
-            neg += d < 0
-    return neg
+        np.subtract(diag[:, 0], lam, out=d)
+        tally()
+        for p0 in range(1, n, STURM_TILE):
+            w = min(STURM_TILE, n - p0)
+            np.copyto(rows[:w], diag[:, p0 : p0 + w].T)
+            np.square(offdiag[:, p0 - 1 : p0 - 1 + w].T, out=squares[:w])
+            for row, square in zip(rows[:w], squares[:w]):
+                np.subtract(row, lam, out=t)
+                np.divide(square, d, out=d)
+                np.subtract(t, d, out=d)
+                tally()
+    return neg.T
+
+
+def _transfer_factors(offdiag):
+    """s (n,) from _conjugate_block and the transfer factors a = s / (s + Y),
+    (C, n), of stacked draws."""
+    s, y = _conjugate_block(offdiag)
+    return s, s / (s + y)
+
+
+def _forward_phases(diag, s, a, lams, ell: int):
+    """Forward phases at split ell, (C, K): pi pushed through maps 0..ell-1."""
+    fwd = np.full((diag.shape[0], lams.shape[-1]), math.pi)
+    for l in range(ell):
+        fwd = _lift_affine(fwd + math.pi, a[:, l : l + 1], (lams - diag[:, l : l + 1]) / s[l])
+    return fwd
+
+
+def _backward_phases(diag, s, a, lams, ell: int):
+    """Backward phases at split ell, (C, K): 0 pulled back through maps n-1..ell."""
+    bwd = np.zeros((diag.shape[0], lams.shape[-1]))
+    for l in range(diag.shape[1] - 1, ell - 1, -1):
+        al = a[:, l : l + 1]
+        bwd = _lift_affine(bwd, 1.0 / al, al * (diag[:, l : l + 1] - lams) / s[l]) - math.pi
+    return bwd
 
 
 def _sweep_phases(diag, offdiag, lams, ell: int):
@@ -154,18 +206,9 @@ def _sweep_phases(diag, offdiag, lams, ell: int):
     and is pulled back through maps n-1..ell by the inverse lift
     L(1/a_l, a_l*(X_l - lam)/s_l) and a half turn back.
     """
-    s, y = _conjugate_block(offdiag)
-    a = s / (s + y)
+    s, a = _transfer_factors(offdiag)
     lams = np.atleast_1d(np.asarray(lams, dtype=float))
-    shape = (diag.shape[0], lams.shape[-1])
-    fwd = np.full(shape, math.pi)
-    for l in range(ell):
-        fwd = _lift_affine(fwd + math.pi, a[:, l : l + 1], (lams - diag[:, l : l + 1]) / s[l])
-    bwd = np.zeros(shape)
-    for l in range(diag.shape[1] - 1, ell - 1, -1):
-        al = a[:, l : l + 1]
-        bwd = _lift_affine(bwd, 1.0 / al, al * (diag[:, l : l + 1] - lams) / s[l]) - math.pi
-    return fwd, bwd
+    return _forward_phases(diag, s, a, lams, ell), _backward_phases(diag, s, a, lams, ell)
 
 
 def _winding_counts(fwd, bwd):
@@ -261,7 +304,8 @@ def relative_phase(model: TridiagonalModel, lam: float, mu: float, ell: int) -> 
     params = carousel_params(mu, model.n)
     if not 0 <= ell < params.n0:
         raise ValueError(f"ell must lie in [0, n0={params.n0}), got {ell}")
-    fwd, _ = _sweep_phases(model.diag[None, :], model.offdiag[None, :], [lam], ell)
+    s, a = _transfer_factors(model.offdiag[None, :])
+    fwd = _forward_phases(model.diag[None, :], s, a, np.array([lam], dtype=float), ell)
     rho = params.rho[ell]
     straightened = float(_lift_affine(fwd[0, 0], 1.0 / rho.imag, -rho.real))
     correction = 2.0 * float(np.sum(math.pi - np.angle(params.rho[:ell])))
@@ -330,8 +374,8 @@ def straightening_map(model: TridiagonalModel, lam: float, mu: float, ell: int) 
     if not 0 <= ell < params.n0 - 1:
         raise ValueError(f"ell must lie in [0, n0-1={params.n0 - 1}), got {ell}")
     rho, rho_next = params.rho[ell], params.rho[ell + 1]
-    s, y = _conjugate_block(model.offdiag[None, :])
-    a = s[ell] / (s[ell] + y[0, ell])
+    s, a = _transfer_factors(model.offdiag[None, :])
+    a = a[0, ell]
     shift = rho.real + (lam - mu - model.diag[ell]) / s[ell]
     scale = a * rho.imag / rho_next.imag
     offset = (a * shift - rho_next.real) / rho_next.imag

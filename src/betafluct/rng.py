@@ -52,11 +52,12 @@ def chi_sample(u, rng: RngStream, size=None):
     u = np.asarray(u, dtype=float)
     if np.any(u <= 0):
         raise ValueError("chi degrees of freedom must be positive")
-    shape = u / 2.0 if size is None else np.broadcast_to(u / 2.0, size)
-    chi = 2.0 * rng.generator.standard_gamma(shape)
+    chi = rng.generator.standard_gamma(u / 2.0, size=size)
     if np.ndim(chi) == 0:
-        return np.sqrt(chi)
-    return np.sqrt(chi, out=chi)  # in place: block draws are large
+        return np.sqrt(2.0 * chi)
+    # in place: a second (count, n-1) array would raise a block's peak memory
+    chi *= 2.0
+    return np.sqrt(chi, out=chi)
 
 
 def beta_1s_sample(s, rng: RngStream, size=None):

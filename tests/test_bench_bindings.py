@@ -6,7 +6,7 @@ import pathlib
 
 import numpy as np
 
-from betafluct import stats
+from betafluct import gaussian, stats
 
 TRACER = pathlib.Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
 # Bindings of code paths the package no longer has; the tracer reports them
@@ -47,3 +47,23 @@ def test_tracer_counts_prufer_steps():
         tracer.uninstall()
     assert counts.shape == (c, k)
     assert tracer.counters["circular.prufer_steps"] == c * k * depth
+
+
+def test_tracer_counts_sturm_steps():
+    # the work formula reads _sturm_block's (C, n) diagonal and the last
+    # axis of its (K,) or (C, K) levels, through both bindings
+    c, n, k = 5, 9, 3
+    diag, offdiag = stats._stack_models(2.0, n, 1, np.arange(c))
+    tracer_module = _load_tracer()
+    for module, levels in (
+        (stats, np.linspace(-2.0, 2.0, k)),
+        (gaussian, np.linspace(-2.0, 2.0, c * k).reshape(c, k)),
+    ):
+        tracer = tracer_module.Tracer()
+        tracer.install()
+        try:
+            counts = module._sturm_block(diag, offdiag, levels)
+        finally:
+            tracer.uninstall()
+        assert counts.shape == (c, k)
+        assert tracer.counters["gaussian.sturm_steps"] == c * k * n

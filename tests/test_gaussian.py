@@ -7,8 +7,10 @@ from numpy.polynomial import polynomial as npoly
 from scipy.integrate import quad
 from scipy.linalg import eigvalsh_tridiagonal
 
-from betafluct.circlemap import angular_shift
+import betafluct.gaussian as gaussian
+from betafluct.circlemap import _lift_affine, angular_shift
 from betafluct.gaussian import (
+    STURM_TILE,
     TridiagonalModel,
     carousel_params,
     phase_sweep,
@@ -210,6 +212,45 @@ def test_sturm_monotone_with_limits():
     assert sturm_count(model, 1e9) == 32
 
 
+def _reference_sturm(diag, offdiag, lam):
+    """One draw's count of negative pivots at one level: a plain loop in
+    Python floats, with the same zero-pivot rule as _sturm_block."""
+    tiny = float(np.finfo(float).eps) * (1.0 + abs(lam))
+    off = offdiag.tolist()
+    count, d = 0, 0.0
+    for p, x in enumerate(diag.tolist()):
+        d = x - lam if p == 0 else (x - lam) - off[p - 1] * off[p - 1] / d
+        if d == 0.0:
+            d = -tiny
+        count += d < 0.0
+    return count
+
+
+@pytest.mark.parametrize(
+    "n", [1, 2, STURM_TILE - 1, STURM_TILE, STURM_TILE + 1, 2 * STURM_TILE + 3]
+)
+def test_sturm_block_matches_reference_loop(n):
+    # tiles of STURM_TILE levels must chain pivots across every seam; rows 0
+    # and 1 put an exact zero pivot at level 0 (lam = 0) and level 1 (lam = 0)
+    rng = np.random.default_rng(n)
+    c, k = 6, 5
+    diag = rng.normal(0.0, 2.0, size=(c, n))
+    offdiag = rng.uniform(0.2, 3.0, size=(c, n - 1))
+    diag[0], diag[1], offdiag[:2] = 0.0, 1.0, 1.0
+    shared = np.array([0.0, 1.0, -0.5, 2.5, -4.0])
+    per_draw = rng.uniform(-6.0, 6.0, size=(c, k))
+    per_draw[:2, 0] = 0.0
+    for lams in (shared, per_draw):
+        counts = _sturm_block(diag, offdiag, lams)
+        assert counts.shape == (c, k)
+        rows = np.broadcast_to(lams, (c, k))
+        expected = [
+            [_reference_sturm(diag[i], offdiag[i], float(lam)) for lam in rows[i]]
+            for i in range(c)
+        ]
+        assert np.array_equal(counts, expected)
+
+
 # ---------------------------------------------------------------- phase sweep
 
 
@@ -363,6 +404,20 @@ def test_relative_phase_ell_validation():
     params = carousel_params(1.0, 16)
     with pytest.raises(ValueError):
         relative_phase(model, 0.0, 1.0, math.ceil(params.n0))
+
+
+def test_relative_phase_runs_only_the_forward_lifts(monkeypatch):
+    # ell forward lifts and one straightening lift; no backward sweep
+    calls = []
+
+    def counted(*args):
+        calls.append(1)
+        return _lift_affine(*args)
+
+    monkeypatch.setattr(gaussian, "_lift_affine", counted)
+    model = sample_tridiagonal(2.0, 32, RngStream(51, 3))
+    relative_phase(model, 0.5, 1.0, 5)
+    assert len(calls) == 6
 
 
 def test_straightened_increment_matches_angular_shift():

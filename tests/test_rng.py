@@ -59,6 +59,19 @@ def test_chi_domain_error():
         chi_sample(-2.0, RngStream(0, 0))
 
 
+def test_chi_block_and_vector_calls_equal_one_draw_calls():
+    # a block, a 1-d and a scalar call draw the same numbers, element by
+    # element in C order, from the same stream
+    u = np.array([0.4, 1.0, 3.3, 9.0])
+    rng = RngStream(7, 3)
+    one = np.array([chi_sample(x, rng) for _ in range(5) for x in u]).reshape(5, 4)
+    rng = RngStream(7, 3)
+    rows = np.array([chi_sample(u, rng) for _ in range(5)])
+    block = chi_sample(u, RngStream(7, 3), size=(5, 4))
+    assert np.ndim(chi_sample(3.3, RngStream(7, 3))) == 0
+    assert np.array_equal(block, one) and np.array_equal(rows, one)
+
+
 def test_beta_s1_is_uniform():
     draws = beta_1s_sample(1.0, RngStream(16, 0), size=10**5)
     stat = kstest(draws, "uniform").statistic
