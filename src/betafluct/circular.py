@@ -33,6 +33,13 @@ class VerblunskyDraw:
             raise ValueError(f"eta must lie in [0, 2*pi), got {self.eta}")
 
 
+# Largest radius drawn. Inverse-CDF radii round to exactly 1 when
+# U^(1/s) < 1.1e-16, and the computed unit factor e^{2 pi i U} can have
+# modulus up to 4.4e-16 above 1; a margin of 2^-50 = 8.9e-16 keeps every
+# |gamma| below 1.
+RADIUS_CAP = 1.0 - 2.0**-50
+
+
 def _sample_verblunsky_block(beta: float, n: int, count: int, rng: RngStream):
     """Sample coefficients for `count` independent circular beta ensembles of
     n points from one stream.
@@ -42,6 +49,14 @@ def _sample_verblunsky_block(beta: float, n: int, count: int, rng: RngStream):
     contract: squared radii (count, n-1) by inverse CDF, then arguments
     (count, n-1), then eta (count,). Returns (gamma (count, n-1) complex,
     eta (count,)).
+
+    The radius is capped at RADIUS_CAP = 1 - 2^-50, so every coefficient lies
+    in the open unit disc. At beta >= 2 the cap binds with probability below
+    2e-15 per coefficient; at small beta it binds more often, and then moves
+    the radius by at most 9e-16. The argument factor e^{2 pi i U} is built
+    from t = tan(pi U) as ((1 - t^2) + 2it) / (1 + t^2), one tan and no cos
+    or sin: it agrees with cos(2 pi U) + i sin(2 pi U) to within 4e-16, and
+    U = 0 gives exactly 1.
     """
     if beta <= 0:
         raise ValueError(f"beta must be positive, got {beta}")
@@ -50,17 +65,20 @@ def _sample_verblunsky_block(beta: float, n: int, count: int, rng: RngStream):
     size = (count, n - 1)
     radius = beta_1s_sample(0.5 * beta * (n - 1.0 - np.arange(n - 1)), rng, size=size)
     np.sqrt(radius, out=radius)
-    angles = rng.generator.random(size)
-    angles *= TWO_PI
-    # Built in place: a complex exp(1j * angles) would allocate two more
-    # (count, n-1) complex temporaries, which at n in the thousands set the
-    # process's peak memory.
+    np.minimum(radius, RADIUS_CAP, out=radius)
+    t = rng.generator.random(size)
+    t *= math.pi
+    np.tan(t, out=t)
+    # Built in place in gamma's own parts: complex temporaries of shape
+    # (count, n-1) would set the process's peak memory at n in the thousands.
     gamma = np.empty(size, dtype=complex)
-    np.cos(angles, out=gamma.real)
-    np.sin(angles, out=gamma.imag)
-    del angles
+    np.multiply(t, t, out=gamma.imag)
+    np.subtract(1.0, gamma.imag, out=gamma.real)
+    gamma.imag += 1.0
+    radius /= gamma.imag
     gamma.real *= radius
-    gamma.imag *= radius
+    t *= 2.0
+    np.multiply(t, radius, out=gamma.imag)
     eta = TWO_PI * rng.generator.random(count)
     return gamma, eta
 

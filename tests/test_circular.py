@@ -5,6 +5,7 @@ import pytest
 from scipy.stats import kstest
 
 from betafluct.circular import (
+    RADIUS_CAP,
     VerblunskyDraw,
     sample_verblunsky,
     prufer_evaluate,
@@ -13,6 +14,7 @@ from betafluct.circular import (
     sine_beta_window,
     default_window_size,
     _final_phases,
+    _sample_verblunsky_block,
     _stack_draws,
     _count_arcs_block,
 )
@@ -87,6 +89,63 @@ def test_stack_draws_block_addressing():
     for bad in ([0, 2, 3], [3, 2, 1], [], [[0, 1], [2, 3]]):
         with pytest.raises(ValueError):
             _stack_draws(1.5, 12, 81, np.array(bad, dtype=np.int64))
+
+
+@pytest.mark.parametrize("beta", (0.5, 2.0, 4.0))
+@pytest.mark.parametrize("n", (1, 2, 64))
+def test_block_matches_cos_sin_construction(beta, n):
+    # Replay the block's stream by hand: radii by inverse CDF, then arguments,
+    # then eta. The tan-based unit factor agrees with cos + i sin to within a
+    # few roundings, and eta is the same draw bit for bit.
+    count = 2048
+    gamma, eta = _sample_verblunsky_block(beta, n, count, RngStream(83, 0))
+    gen = RngStream(83, 0).generator
+    s = 0.5 * beta * (n - 1.0 - np.arange(n - 1))
+    radius = np.minimum(np.sqrt(1.0 - gen.random((count, n - 1)) ** (1.0 / s)), RADIUS_CAP)
+    angles = TWO_PI * gen.random((count, n - 1))
+    expected = radius * (np.cos(angles) + 1j * np.sin(angles))
+    assert gamma.shape == (count, n - 1)
+    assert np.all(np.abs(gamma - expected) <= 4e-16)
+    assert np.array_equal(eta, TWO_PI * gen.random(count))
+
+
+class _StubGenerator:
+    """Hands out preset uniforms in the order the sampler draws them."""
+
+    def __init__(self, *draws):
+        self.draws = list(draws)
+
+    def random(self, size):
+        out = np.asarray(self.draws.pop(0), dtype=float)
+        assert out.shape == np.empty(size).shape
+        return out
+
+
+def test_block_argument_edges():
+    # at beta = 2, n = 2 the radius is sqrt(1 - U); U = 0.25 gives sqrt(0.75)
+    args = np.array([0.0, 0.5, 0.5 - 2.0**-53, 0.5 + 2.0**-53, 1.0 - 2.0**-53])
+    rng = RngStream(0, 0)
+    rng.generator = _StubGenerator(np.full((5, 1), 0.25), args[:, None], np.zeros(5))
+    gamma, _ = _sample_verblunsky_block(2.0, 2, 5, rng)
+    radius = math.sqrt(0.75)
+    # U = 0: exactly the radius on the positive axis
+    assert gamma[0, 0].real == radius and gamma[0, 0].imag == 0.0
+    # U next to 1/2, where t = tan(pi U) is about 1.6e16: finite, on the
+    # circle of the radius to 1 ulp
+    assert np.all(np.isfinite(gamma))
+    assert np.all(np.abs(np.abs(gamma[:, 0]) - radius) <= np.spacing(radius))
+    assert np.all(np.abs(gamma[1:4, 0] + radius) <= 2e-15)
+
+
+def test_small_beta_coefficients_stay_in_open_disc():
+    # inverse-CDF radii round to 1 when U^(1/s) < 1.1e-16, which at beta = 0.1,
+    # n = 3 happens for about 7% of coefficients; the cap keeps every |gamma|
+    # below 1
+    radii = np.concatenate(
+        [np.abs(sample_verblunsky(0.1, 3, RngStream(84, d)).gamma) for d in range(300)]
+    )
+    assert np.max(radii) < 1.0
+    assert np.max(radii) >= RADIUS_CAP * (1.0 - 1e-15)
 
 
 def test_prufer_zero_coefficients_linear():

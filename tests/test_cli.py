@@ -145,6 +145,14 @@ def test_sample_commands(tmp_path, capsys):
         assert len(captured.out.strip().split("\n")) >= 2
 
 
+def test_sample_small_beta_exits_0(capsys):
+    # at seed 1 both commands draw a radius that rounds to 1 unless capped
+    for extra in (["--ensemble", "cbe", "--n", "3", "--samples", "50", "--beta", "0.1"],
+                  ["--ensemble", "sine", "--xmax", "2", "--samples", "1", "--beta", "0.05"]):
+        assert main(["sample", "--seed", "1"] + extra) == 0
+        assert "error" not in capsys.readouterr().err
+
+
 def test_usage_errors_exit_2(capsys):
     assert main(["scan-cbe", "--badflag"]) == 2
     assert main(["nonsense-command"]) == 2
