@@ -90,6 +90,39 @@ def sample_verblunsky(beta: float, n: int, rng: RngStream) -> VerblunskyDraw:
     return VerblunskyDraw(gamma=gamma[0], eta=float(eta[0]))
 
 
+# Largest bound on the summed Prufer increments that one arctan2 may resolve;
+# see _prufer_runs. The margin pi - 3.1 = 0.04 is far above the rounding of a
+# run's product, of order (run length) * 1e-16.
+PRUFER_RUN_LIMIT = 3.1
+
+
+def _prufer_runs(gamma: np.ndarray) -> list[int]:
+    """Split the depth of a (C, J) coefficient block into runs of Prufer
+    steps whose increments one arctan2 can resolve; returns the run ends.
+
+    Step j adds theta + 2*arg q_j to the phase (see _final_phases), and
+    |arg q_j| <= b_j = 2*asin|g_j|: 1-g_j and 1-g_j u both lie in the disc
+    of center 1 and radius |g_j|, whose points have arguments within
+    asin|g_j| of 0. b_j is taken at the largest |g_j| over the block's
+    draws. A run ends before the step that would lift its bound sum to
+    PRUFER_RUN_LIMIT or beyond, so the arguments of a run of two or more
+    steps sum to a value inside (-pi, pi), and the principal argument of the
+    product of their q_j is that sum. A step whose own bound reaches the
+    limit is a run of one, whose arctan2 is the per-step one.
+    """
+    bound = 2.0 * np.arcsin(np.max(np.abs(gamma), axis=0, initial=0.0))
+    stops = []
+    total = 0.0
+    for j, b in enumerate(bound.tolist()):
+        if j and total + b >= PRUFER_RUN_LIMIT:
+            stops.append(j)
+            total = 0.0
+        total += b
+    if bound.size:
+        stops.append(bound.size)
+    return stops
+
+
 def _final_phases(gamma: np.ndarray, thetas: np.ndarray, a: float = 0.0) -> np.ndarray:
     """psi_{J}(theta, a) for a block of draws evaluated at several thetas.
 
@@ -97,18 +130,20 @@ def _final_phases(gamma: np.ndarray, thetas: np.ndarray, a: float = 0.0) -> np.n
     draws. Returns the depth-J phase matrix of shape (C, K).
 
     The Prufer step psi += theta + 2*(arg(1-g) - arg(1-g e^{i psi})) runs on
-    u = e^{i psi}, so it costs one arctan2 and no cos or sin: with
-    q = (1-g)*conj(1-g u), the increment is theta + 2*arg q and u moves to
-    u e^{i theta} q/conj(q). arg(1-g) and arg(1-g u) both lie in
-    (-pi/2, pi/2), since 1-g and 1-g u sit in the disc of center 1 and radius
-    |g| < 1, so their difference is the principal argument of q.
+    u = e^{i psi}, so it needs no cos or sin: with q = (1-g)*conj(1-g u), the
+    increment is theta + 2*arg q and u moves to u e^{i theta} q/conj(q).
+    arg(1-g) and arg(1-g u) both lie in (-pi/2, pi/2), since 1-g and 1-g u
+    sit in the disc of center 1 and radius |g| < 1, so their difference is
+    the principal argument of q. The conj(q) of each run from _prufer_runs
+    are multiplied into one product, and one arctan2 per run gives the sum
+    of their arguments.
     """
     gamma = np.atleast_2d(gamma)
     thetas = np.atleast_1d(np.asarray(thetas, dtype=float))[:, None]
     n_draws, depth = gamma.shape
     # (K, C) buffers, so each step broadcasts one coefficient column along
     # contiguous rows; e^{i theta} is tiled, since a same-shape multiply is
-    # faster than a broadcast one. Only the args of q are summed per step,
+    # faster than a broadcast one. Only the args of q are summed per run,
     # and psi = theta + a + J*theta + 2*sum(arg q) is assembled at the end.
     shape = (thetas.size, n_draws)
     psi0 = thetas + a
@@ -117,23 +152,29 @@ def _final_phases(gamma: np.ndarray, thetas: np.ndarray, a: float = 0.0) -> np.n
     winding = np.zeros(shape)
     q = np.empty(shape, dtype=complex)
     q_bar = np.empty(shape, dtype=complex)
+    product = np.empty(shape, dtype=complex)
     arg = np.empty(shape)
     c = np.empty(n_draws, dtype=complex)
     cg = np.empty(n_draws, dtype=complex)
-    for j in range(depth):
-        g = gamma[:, j]
-        np.subtract(1.0, g, out=c)
-        np.conjugate(c, out=c)
-        np.multiply(c, g, out=cg)
-        # conj(q) = conj(1-g) * (1 - g u), and arg q = -arg conj(q)
-        np.multiply(u, cg, out=q_bar)
-        np.subtract(c, q_bar, out=q_bar)
-        np.arctan2(q_bar.imag, q_bar.real, out=arg)
+    start = 0
+    for stop in _prufer_runs(gamma):
+        product.fill(1.0)
+        for j in range(start, stop):
+            g = gamma[:, j]
+            np.subtract(1.0, g, out=c)
+            np.conjugate(c, out=c)
+            np.multiply(c, g, out=cg)
+            # conj(q) = conj(1-g) * (1 - g u), and arg q = -arg conj(q)
+            np.multiply(u, cg, out=q_bar)
+            np.subtract(c, q_bar, out=q_bar)
+            product *= q_bar
+            np.conjugate(q_bar, out=q)
+            u *= rot
+            u *= q
+            u /= q_bar
+        np.arctan2(product.imag, product.real, out=arg)
         winding -= arg
-        np.conjugate(q_bar, out=q)
-        u *= rot
-        u *= q
-        u /= q_bar
+        start = stop
     return (psi0 + depth * thetas + 2.0 * winding).T
 
 

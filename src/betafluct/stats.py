@@ -151,6 +151,10 @@ def _run_ordered(worker, tasks: list, workers: int) -> list:
     workers = resolve_workers(workers)
     if workers <= 1 or len(tasks) <= 1:
         return [worker(task) for task in tasks]
+    # NumPy 2 imports numpy.random lazily: loaded once here, before the
+    # workers fork, rather than once in each worker. Not at module level,
+    # where every run that starts no pool would pay for it at import.
+    import numpy.random  # noqa: F401
     with ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(worker, tasks, chunksize=1))
 

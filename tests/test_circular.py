@@ -5,6 +5,7 @@ import pytest
 from scipy.stats import kstest
 
 from betafluct.circular import (
+    PRUFER_RUN_LIMIT,
     RADIUS_CAP,
     VerblunskyDraw,
     sample_verblunsky,
@@ -14,6 +15,7 @@ from betafluct.circular import (
     sine_beta_window,
     default_window_size,
     _final_phases,
+    _prufer_runs,
     _sample_verblunsky_block,
     _stack_draws,
     _count_arcs_block,
@@ -370,6 +372,62 @@ def test_final_phases_match_extended_precision(beta):
         psi = _final_phases(gamma, thetas, 0.3)
         exact = _phases_longdouble(gamma, thetas, 0.3)
         assert np.max(np.abs(psi - exact)) < 1e-9, n
+
+
+def _phases_per_step(gamma, thetas, a):
+    """The unit-complex Prufer step with one arctan2 per step."""
+    thetas = np.asarray(thetas, dtype=float)[:, None]
+    shape = (thetas.size, gamma.shape[0])
+    psi0 = thetas + a
+    u = np.exp(1j * np.broadcast_to(psi0, shape))
+    rot = np.exp(1j * thetas)
+    winding = np.zeros(shape)
+    for j in range(gamma.shape[1]):
+        c = np.conj(1.0 - gamma[:, j])
+        q_bar = c - u * (c * gamma[:, j])
+        winding -= np.arctan2(q_bar.imag, q_bar.real)
+        u = u * rot * np.conj(q_bar) / q_bar
+    return (psi0 + gamma.shape[1] * thetas + 2.0 * winding).T
+
+
+def _check_runs(gamma):
+    # the runs tile [0, J) in order, and a run of two or more steps keeps
+    # its bound sum below the limit
+    assert PRUFER_RUN_LIMIT < math.pi
+    stops = _prufer_runs(gamma)
+    bound = 2.0 * np.arcsin(np.max(np.abs(gamma), axis=0, initial=0.0))
+    start = 0
+    for stop in stops:
+        assert stop > start
+        if stop - start > 1:
+            assert sum(bound[start:stop].tolist()) < PRUFER_RUN_LIMIT, (start, stop)
+        start = stop
+    assert start == gamma.shape[1]
+    return stops
+
+
+@pytest.mark.parametrize("beta", (0.25, 2.0, 4.0))
+def test_final_phases_match_per_step_arctan2(beta):
+    # one arctan2 per run of steps must give the phases and counts of one
+    # arctan2 per step
+    for n in (1, 2, 64, 300):
+        for draws in (1, 64):
+            gamma, eta = _stack_draws(beta, n, 47, np.arange(draws))
+            _check_runs(gamma)
+            for thetas in (np.array([0.3]), np.array([0.3, 7.0, 0.8 * TWO_PI * n]) / n):
+                psi = _final_phases(gamma, thetas, 0.2)
+                ref = _phases_per_step(gamma, thetas, 0.2)
+                assert np.max(np.abs(psi - ref)) < 1e-12, (n, draws)
+                counts = np.floor((psi - eta[:, None]) / TWO_PI)
+                assert np.array_equal(counts, np.floor((ref - eta[:, None]) / TWO_PI)), (n, draws)
+
+
+def test_final_phases_radius_cap_runs_one_step():
+    gen = np.random.default_rng(48)
+    gamma = RADIUS_CAP * np.exp(TWO_PI * 1j * gen.random((64, 63)))
+    assert _check_runs(gamma) == list(range(1, 64))
+    thetas = np.array([0.3, 1.1, 5.0])
+    assert np.array_equal(_final_phases(gamma, thetas, 0.2), _phases_per_step(gamma, thetas, 0.2))
 
 
 def test_sine_window_empty():
