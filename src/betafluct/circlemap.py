@@ -31,10 +31,3 @@ def _lift_affine(x, a, b):
     x0 = x - TWO_PI * k  # in [-pi, pi)
     out = 2.0 * np.arctan(a * (np.tan(0.5 * x0) + b)) + TWO_PI * k
     return np.where(x0 == -np.pi, TWO_PI * k - np.pi, out)
-
-
-def angular_shift(mapping, x, y):
-    """Deviation of a lifted map from a rigid rotation between two angles:
-    (y*S - x*S) - (y - x). Invariant under shifting either argument by 2*pi.
-    """
-    return (mapping(y) - mapping(x)) - (y - x)

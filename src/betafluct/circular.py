@@ -58,8 +58,8 @@ def _sample_verblunsky_block(beta: float, n: int, count: int, rng: RngStream):
     or sin: it agrees with cos(2 pi U) + i sin(2 pi U) to within 4e-16, and
     U = 0 gives exactly 1.
     """
-    if beta <= 0:
-        raise ValueError(f"beta must be positive, got {beta}")
+    if not 0 < beta < math.inf:
+        raise ValueError(f"beta must be positive and finite, got {beta}")
     if n < 1:
         raise ValueError(f"n must be at least 1, got {n}")
     size = (count, n - 1)
@@ -253,8 +253,8 @@ def sine_beta_window(beta: float, x_max: float, n: int | None, rng: RngStream) -
     any explicit n must satisfy n >= ceil(10 * x_max) so the window stays far
     from the full circle.
     """
-    if x_max < 0:
-        raise ValueError(f"x_max must be non-negative, got {x_max}")
+    if not 0 <= x_max < math.inf:
+        raise ValueError(f"x_max must be non-negative and finite, got {x_max}")
     if n is None:
         n = default_window_size(x_max)
     if n < math.ceil(10.0 * x_max):

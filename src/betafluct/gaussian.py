@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import math
-from collections.abc import Callable
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -44,10 +43,8 @@ class TridiagonalModel:
 
 @dataclass(frozen=True)
 class PhaseSweep:
-    """Forward/backward phase pair at a split index; count is the winding."""
+    """Eigenvalue count at a split index, read off the phase winding."""
 
-    phi_fwd: float
-    phi_bwd: float
     count: int
     flagged: bool
 
@@ -56,16 +53,13 @@ class PhaseSweep:
 class CarouselParams:
     """Deterministic rotation data removed from raw phases around level mu.
 
-    n0 = (n - mu^2/4 - 1/2) clamped below by 1; rho_l are unit-modulus
-    rotation factors for 0 <= l < n0; eta_l are the cumulative products
-    rho_0^2 ... rho_l^2; ell is the largest integer strictly below
-    n0 - mu^(2/3), clamped at 0.
+    With n0 = (n - mu^2/4 - 1/2) clamped below by 1: rho_l are unit-modulus
+    rotation factors for 0 <= l < n0; ell is the largest integer strictly
+    below n0 - mu^(2/3), clamped at 0.
     """
 
-    n0: float
     rho: np.ndarray = field(repr=False)
     ell: int
-    eta: np.ndarray = field(repr=False)
 
 
 def _sample_tridiagonal_block(beta: float, n: int, count: int, rng: RngStream):
@@ -76,8 +70,8 @@ def _sample_tridiagonal_block(beta: float, n: int, count: int, rng: RngStream):
     chi_{beta*(n-p)} / sqrt(beta). Returns (diag (count, n), offdiag
     (count, n-1)).
     """
-    if beta <= 0:
-        raise ValueError(f"beta must be positive, got {beta}")
+    if not 0 < beta < math.inf:
+        raise ValueError(f"beta must be positive and finite, got {beta}")
     if n < 1:
         raise ValueError(f"n must be at least 1, got {n}")
     diag = gaussian_sample(0.0, math.sqrt(2.0 / beta), rng, size=(count, n))
@@ -171,13 +165,6 @@ def _sturm_block(diag: np.ndarray, offdiag: np.ndarray, lams: np.ndarray) -> np.
     return neg.T
 
 
-def _transfer_factors(offdiag):
-    """s (n,) from _conjugate_block and the transfer factors a = s / (s + Y),
-    (C, n), of stacked draws."""
-    s, y = _conjugate_block(offdiag)
-    return s, s / (s + y)
-
-
 def _forward_phases(diag, s, a, lams, ell: int):
     """Forward phases at split ell, (C, K): pi pushed through maps 0..ell-1."""
     fwd = np.full((diag.shape[0], lams.shape[-1]), math.pi)
@@ -206,14 +193,20 @@ def _sweep_phases(diag, offdiag, lams, ell: int):
     and is pulled back through maps n-1..ell by the inverse lift
     L(1/a_l, a_l*(X_l - lam)/s_l) and a half turn back.
     """
-    s, a = _transfer_factors(offdiag)
+    s, y = _conjugate_block(offdiag)
+    a = s / (s + y)
     lams = np.atleast_1d(np.asarray(lams, dtype=float))
     return _forward_phases(diag, s, a, lams, ell), _backward_phases(diag, s, a, lams, ell)
 
 
-def _winding_counts(fwd, bwd):
-    """Count floor((fwd - bwd) / 2pi) and whether that winding lies within
-    NEAR_DEGENERATE_TOL of an integer (an ill-conditioned count)."""
+def _sweep_counts_block(diag, offdiag, lams, ell):
+    """Sweep counts and flags for stacked tridiagonal draws: (C, K) each.
+
+    lams is (K,) shared by all draws or (C, K), one row per draw. The count
+    is floor((fwd - bwd) / 2pi); it is flagged when that winding lies within
+    NEAR_DEGENERATE_TOL of an integer (an ill-conditioned count).
+    """
+    fwd, bwd = _sweep_phases(diag, offdiag, lams, ell)
     winding = (fwd - bwd) / TWO_PI
     flags = np.abs(winding - np.round(winding)) < NEAR_DEGENERATE_TOL
     return np.floor(winding).astype(np.int64), flags
@@ -229,22 +222,8 @@ def phase_sweep(model: TridiagonalModel, lam: float, ell: int) -> PhaseSweep:
     """
     if not 0 <= ell <= model.n:
         raise ValueError(f"ell must lie in [0, {model.n}], got {ell}")
-    fwd, bwd = _sweep_phases(model.diag[None, :], model.offdiag[None, :], [lam], ell)
-    count, flagged = _winding_counts(fwd, bwd)
-    return PhaseSweep(
-        phi_fwd=float(fwd[0, 0]),
-        phi_bwd=float(bwd[0, 0]),
-        count=int(count[0, 0]),
-        flagged=bool(flagged[0, 0]),
-    )
-
-
-def _sweep_counts_block(diag, offdiag, lams, ell):
-    """Sweep counts and flags for stacked tridiagonal draws: (C, K) each.
-
-    lams is (K,) shared by all draws or (C, K), one row per draw.
-    """
-    return _winding_counts(*_sweep_phases(diag, offdiag, lams, ell))
+    count, flagged = _sweep_counts_block(model.diag[None, :], model.offdiag[None, :], [lam], ell)
+    return PhaseSweep(count=int(count[0, 0]), flagged=bool(flagged[0, 0]))
 
 
 def _strict_int_part(x: float) -> int:
@@ -255,8 +234,8 @@ def _strict_int_part(x: float) -> int:
 
 def carousel_params(mu: float, n: int) -> CarouselParams:
     """Rotation-removal parameters at level mu for a size-n ensemble."""
-    if mu < 0:
-        raise ValueError(f"mu must be non-negative, got {mu}")
+    if not 0 <= mu < math.inf:
+        raise ValueError(f"mu must be non-negative and finite, got {mu}")
     if n < 1:
         raise ValueError(f"n must be at least 1, got {n}")
     q = mu * mu / 4.0
@@ -265,7 +244,7 @@ def carousel_params(mu: float, n: int) -> CarouselParams:
     denom = q + n0 - levels
     rho = np.sqrt(q / denom) + 1j * np.sqrt((n0 - levels) / denom)
     ell = max(_strict_int_part(n0 - mu ** (2.0 / 3.0)), 0)
-    return CarouselParams(n0=n0, rho=rho, ell=ell, eta=np.cumprod(rho * rho))
+    return CarouselParams(rho=rho, ell=ell)
 
 
 def _semicircle_antiderivative(x) -> np.ndarray:
@@ -293,23 +272,6 @@ def semicircle_residual(mu: float, n: int) -> float:
     edge = min(mu / math.sqrt(n), 2.0)
     mass = 0.5 * n * (_semicircle_antiderivative(2.0) - _semicircle_antiderivative(edge))
     return angle_sum - float(mass)
-
-
-def relative_phase(model: TridiagonalModel, lam: float, mu: float, ell: int) -> float:
-    """Forward phase with the deterministic fast rotation removed.
-
-    Applies the affine straightening tied to rho_ell, then subtracts the
-    accumulated rotation angles 2*(pi - Arg(rho_j)) for j < ell.
-    """
-    params = carousel_params(mu, model.n)
-    if not 0 <= ell < params.n0:
-        raise ValueError(f"ell must lie in [0, n0={params.n0}), got {ell}")
-    s, a = _transfer_factors(model.offdiag[None, :])
-    fwd = _forward_phases(model.diag[None, :], s, a, np.array([lam], dtype=float), ell)
-    rho = params.rho[ell]
-    straightened = float(_lift_affine(fwd[0, 0], 1.0 / rho.imag, -rho.real))
-    correction = 2.0 * float(np.sum(math.pi - np.angle(params.rho[:ell])))
-    return straightened - correction
 
 
 def _cross_count_chunks(beta: float, n: int, draws: int, lams_per_draw: int, seed: int, ell: int):
@@ -359,24 +321,3 @@ def verify_counts(
         mismatches += int(np.sum((sweep != sturm) & ~flags))
         flagged += int(np.sum(flags))
     return mismatches, flagged
-
-
-def straightening_map(model: TridiagonalModel, lam: float, mu: float, ell: int) -> Callable:
-    """Slow-variation transfer map between consecutive straightened phases.
-
-    The lift of one affine map r -> scale*r + offset, composed of: the inverse
-    straightening r -> rho_ell.imag*r + rho_ell.real, the shift
-    r -> r + (lam - mu)/s_ell, the random factor r -> a*(r - X_ell/s_ell)
-    with a = s_ell/(s_ell + Y_ell), and the straightening
-    r -> (r - rho_{ell+1}.real)/rho_{ell+1}.imag.
-    """
-    params = carousel_params(mu, model.n)
-    if not 0 <= ell < params.n0 - 1:
-        raise ValueError(f"ell must lie in [0, n0-1={params.n0 - 1}), got {ell}")
-    rho, rho_next = params.rho[ell], params.rho[ell + 1]
-    s, a = _transfer_factors(model.offdiag[None, :])
-    a = a[0, ell]
-    shift = rho.real + (lam - mu - model.diag[ell]) / s[ell]
-    scale = a * rho.imag / rho_next.imag
-    offset = (a * shift - rho_next.real) / rho_next.imag
-    return lambda x: _lift_affine(x, scale, offset / scale)

@@ -5,7 +5,7 @@ from __future__ import annotations
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -65,13 +65,17 @@ class ScanSpec:
     def __post_init__(self):
         if self.ensemble not in ("cbe", "gbe", "sine"):
             raise ValueError(f"unknown ensemble {self.ensemble!r}")
-        if self.beta <= 0 or self.n < 1:
-            raise ValueError("beta must be positive and n >= 1")
+        if not 0 < self.beta < math.inf:
+            raise ValueError(f"beta must be positive and finite, got {self.beta}")
+        if self.n < 1:
+            raise ValueError(f"n must be at least 1, got {self.n}")
+        if not math.isfinite(self.center):
+            raise ValueError(f"center must be finite, got {self.center}")
         if len(self.xis) == 0:
             raise ValueError("empty scan grid")
         for xi in self.xis:
-            if xi < 0:
-                raise ValueError(f"scale values must be non-negative, got {xi}")
+            if not 0 <= xi < math.inf:
+                raise ValueError(f"scale values must be non-negative and finite, got {xi}")
             if self.ensemble in ("cbe", "sine") and xi >= TWO_PI * self.n:
                 raise ValueError(f"arc {xi} reaches around the full circle for n={self.n}")
             if self.ensemble == "sine" and self.n < math.ceil(10.0 * xi):
@@ -93,9 +97,7 @@ class ScanRow:
 @dataclass(frozen=True)
 class BoundFit:
     slope: float
-    intercept: float
     max_ratio: float
-    residuals: np.ndarray = field(repr=False)
 
 
 @dataclass(frozen=True)
@@ -297,14 +299,8 @@ def fit_log_bound(rows) -> BoundFit:
     if xi.min() <= 0 or xi.max() / xi.min() < 100.0:
         raise ValueError("scan rows must span at least two decades of xi")
     logx = np.log(2.0 + xi)
-    slope, intercept = np.polyfit(logx, var, 1)
-    residuals = var - (slope * logx + intercept)
-    return BoundFit(
-        slope=float(slope),
-        intercept=float(intercept),
-        max_ratio=float(np.max(var / logx)),
-        residuals=residuals,
-    )
+    slope, _ = np.polyfit(logx, var, 1)
+    return BoundFit(slope=float(slope), max_ratio=float(np.max(var / logx)))
 
 
 def wilson_upper(hits: int, m: int) -> float:

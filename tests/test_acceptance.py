@@ -16,7 +16,6 @@ from scipy.linalg import eigvalsh_tridiagonal
 
 from betafluct.cli import main
 from betafluct.gaussian import (
-    carousel_params,
     semicircle_residual,
     _cross_count_chunks,
 )

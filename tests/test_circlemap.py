@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from betafluct.circlemap import _lift_affine, angular_shift
+from betafluct.circlemap import _lift_affine
 
 TWO_PI = 2.0 * math.pi
 
@@ -63,21 +63,3 @@ def test_composition_and_inverse(x, a1, b1, a2, b2):
     assert _lift_affine(_lift_affine(x, a1, b1), a2, b2) == pytest.approx(composed, abs=1e-9)
     back = _lift_affine(composed, 1.0 / (a1 * a2), -a1 * a2 * (b1 + b2 / a1))
     assert back == pytest.approx(x, abs=1e-9)
-
-
-def test_angular_shift_identity_is_zero():
-    assert angular_shift(lambda x: x, 0.3, 2.2) == 0.0
-
-
-def test_angular_shift_rotation_is_zero():
-    assert angular_shift(lambda x: x + 1.23, -0.5, 2.0) == pytest.approx(0.0, abs=1e-12)
-
-
-def test_angular_shift_determination_invariance():
-    def mapping(x):
-        return _lift_affine(x, 1.9 * 0.5, 0.4 - 0.6 / 1.9)
-
-    base = angular_shift(mapping, 0.7, 2.9)
-    assert angular_shift(mapping, 0.7 + TWO_PI, 2.9) == pytest.approx(base, abs=1e-9)
-    assert angular_shift(mapping, 0.7, 2.9 + TWO_PI) == pytest.approx(base, abs=1e-9)
-    assert angular_shift(mapping, 0.7 + TWO_PI, 2.9 + TWO_PI) == pytest.approx(base, abs=1e-9)

@@ -4,7 +4,6 @@ import subprocess
 import sys
 from pathlib import Path
 
-import numpy as np
 import pytest
 
 from betafluct.cli import SCAN_HEADER, main
@@ -186,10 +185,31 @@ def test_usage_errors_exit_2(capsys):
                  ["semicircle-residual", "--n-grid", "-4"]):
         assert main(argv) == 2, argv
         assert f"n must be at least 1, got {argv[-1]}" in capsys.readouterr().err, argv
-    for argv in (["tail-check", "--a", "nan", "--samples", "10"],
-                 ["tail-check", "--a", "inf", "--samples", "10"]):
+    # a non-finite value is named where it enters, not passed on to give
+    # constant counts or an overflow
+    for argv, message in (
+        (["tail-check", "--a", "nan", "--samples", "10"], "a must be finite, got nan"),
+        (["tail-check", "--a", "inf", "--samples", "10"], "a must be finite, got inf"),
+        (["scan-cbe", "--beta", "nan", "--samples", "10"], "beta must be positive and finite, got nan"),
+        (["scan-cbe", "--beta", "inf", "--samples", "10"], "beta must be positive and finite, got inf"),
+        (["scan-gbe", "--center", "nan", "--samples", "10"], "center must be finite, got nan"),
+        (["scan-gbe", "--center=-inf", "--samples", "10"], "center must be finite, got -inf"),
+        (["scan-cbe", "--grid", "1:nan:2", "--samples", "10"],
+         "scale values must be non-negative and finite, got nan"),
+        (["scan-gbe", "--grid", "geom:1:nan:2", "--samples", "10"],
+         "scale values must be non-negative and finite, got nan"),
+        (["verify-count", "--beta", "nan", "--samples", "10"],
+         "beta must be positive and finite, got nan"),
+        (["sample", "--ensemble", "cbe", "--beta", "inf", "--samples", "1"],
+         "beta must be positive and finite, got inf"),
+        (["sample", "--ensemble", "sine", "--xmax", "inf", "--samples", "1"],
+         "x_max must be non-negative and finite, got inf"),
+        (["sample", "--ensemble", "sine", "--xmax", "nan", "--samples", "1"],
+         "x_max must be non-negative and finite, got nan"),
+        (["semicircle-residual", "--mu-factors", "nan"], "mu must be non-negative and finite, got nan"),
+    ):
         assert main(argv) == 2, argv
-        assert f"a must be finite, got {argv[2]}" in capsys.readouterr().err, argv
+        assert message in capsys.readouterr().err, argv
     # the default grid would run downward from 1 when its top is below 1
     for argv in (["scan-cbe", "--n", "1", "--samples", "10"],
                  ["scan-sine", "--n", "12", "--samples", "10"]):

@@ -7,18 +7,14 @@ from numpy.polynomial import polynomial as npoly
 from scipy.integrate import quad
 from scipy.linalg import eigvalsh_tridiagonal
 
-import betafluct.gaussian as gaussian
-from betafluct.circlemap import _lift_affine, angular_shift
 from betafluct.gaussian import (
     STURM_TILE,
     TridiagonalModel,
     carousel_params,
     phase_sweep,
-    relative_phase,
     sample_tridiagonal,
     semicircle_count,
     semicircle_residual,
-    straightening_map,
     sturm_count,
     verify_counts,
     _conjugate_block,
@@ -256,10 +252,10 @@ def test_sturm_block_matches_reference_loop(n):
 
 def test_phase_sweep_far_left():
     model = sample_tridiagonal(2.0, 24, RngStream(46, 0))
-    sweep = phase_sweep(model, -1e6, 12)
-    assert sweep.count == 0
-    assert sweep.phi_fwd == pytest.approx(math.pi, abs=1e-3)
-    assert sweep.phi_bwd == pytest.approx(0.0, abs=1e-3)
+    assert phase_sweep(model, -1e6, 12).count == 0
+    fwd, bwd = _phases(model, np.array([-1e6]), 12)
+    assert fwd[0] == pytest.approx(math.pi, abs=1e-3)
+    assert bwd[0] == pytest.approx(0.0, abs=1e-3)
 
 
 def test_phase_sweep_flags_a_level_on_an_eigenvalue():
@@ -319,7 +315,7 @@ def test_phase_sweep_ell_validation():
 
 def test_carousel_mu_zero():
     params = carousel_params(0.0, 10)
-    assert params.n0 == pytest.approx(9.5)
+    assert len(params.rho) == 10
     assert np.allclose(params.rho, 1j)
     assert np.allclose(np.angle(params.rho), math.pi / 2)
     assert params.ell == 9
@@ -328,7 +324,7 @@ def test_carousel_mu_zero():
 def test_carousel_edge_clamp():
     n = 10
     params = carousel_params(2.0 * math.sqrt(n), n)
-    assert params.n0 == 1.0
+    assert len(params.rho) == 1
     assert params.ell == 0
 
 
@@ -336,7 +332,6 @@ def test_carousel_invariants():
     params = carousel_params(3.7, 40)
     assert np.allclose(np.abs(params.rho), 1.0, atol=1e-12)
     assert np.all(params.rho.real >= 0) and np.all(params.rho.imag >= 0)
-    assert np.allclose(np.abs(params.eta), 1.0, atol=1e-10)
     with pytest.raises(ValueError):
         carousel_params(-0.1, 10)
 
@@ -381,61 +376,6 @@ def test_semicircle_residual_values():
     for n in (100, 1000, 10000):
         for factor in (0.0, 0.5, 1.0, 1.5, 1.9, 2.0):
             assert abs(semicircle_residual(factor * math.sqrt(n), n)) <= 10.0
-
-
-# ---------------------------------------------------------------- relative phase
-
-
-def test_relative_phase_at_zero_split_is_pi():
-    model = sample_tridiagonal(2.0, 16, RngStream(51, 0))
-    assert relative_phase(model, 1.0, 0.7, 0) == pytest.approx(math.pi, abs=1e-12)
-
-
-def test_relative_phase_mu_zero_reduces_to_raw():
-    model = sample_tridiagonal(2.0, 16, RngStream(51, 1))
-    for ell in (1, 5, 11):
-        fwd, _ = _phases(model, np.array([1.3]), ell)
-        expected = fwd[0] - ell * math.pi
-        assert relative_phase(model, 1.3, 0.0, ell) == pytest.approx(expected, abs=1e-10)
-
-
-def test_relative_phase_ell_validation():
-    model = sample_tridiagonal(2.0, 16, RngStream(51, 2))
-    params = carousel_params(1.0, 16)
-    with pytest.raises(ValueError):
-        relative_phase(model, 0.0, 1.0, math.ceil(params.n0))
-
-
-def test_relative_phase_runs_only_the_forward_lifts(monkeypatch):
-    # ell forward lifts and one straightening lift; no backward sweep
-    calls = []
-
-    def counted(*args):
-        calls.append(1)
-        return _lift_affine(*args)
-
-    monkeypatch.setattr(gaussian, "_lift_affine", counted)
-    model = sample_tridiagonal(2.0, 32, RngStream(51, 3))
-    relative_phase(model, 0.5, 1.0, 5)
-    assert len(calls) == 6
-
-
-def test_straightened_increment_matches_angular_shift():
-    # the step of the slow phase equals the angular shift of the one-step
-    # straightening map evaluated at (-1, e^{i phi} conj(eta))
-    for d in range(100):
-        rng = RngStream(52, d)
-        model = sample_tridiagonal(2.0, 32, rng)
-        mu = rng.generator.uniform(0.0, 6.0)
-        params = carousel_params(mu, 32)
-        lam = mu + rng.generator.uniform(-1.0, 1.0) / (2.0 * math.sqrt(params.n0))
-        for ell in range(0, int(params.n0) - 1, 5):
-            phi_here = relative_phase(model, lam, mu, ell)
-            phi_next = relative_phase(model, lam, mu, ell + 1)
-            mapping = straightening_map(model, lam, mu, ell)
-            y = math.remainder(phi_here - float(np.angle(params.eta[ell])), TWO_PI)
-            shift = angular_shift(mapping, math.pi, y)
-            assert phi_next - phi_here == pytest.approx(shift, abs=1e-8)
 
 
 # ---------------------------------------------------------------- ensemble-level
