@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .rng import RngStream, beta_1s_sample, block_start, TWO_PI
+from .rng import RngStream, beta_1s_sample, TWO_PI
 
 
 @dataclass(frozen=True)
@@ -269,14 +269,10 @@ def sine_beta_window(beta: float, x_max: float, n: int | None, rng: RngStream) -
     return np.sort(n * thetas)
 
 
-def _stack_draws(beta: float, n: int, master_seed: int, indices: np.ndarray):
-    """Sample the block of replicas `indices` (a contiguous range) from the
-    one stream addressed by its first index.
-
-    Returns (gamma (C, n-1) complex, eta (C,)).
-    """
-    rng = RngStream(master_seed, block_start(indices))
-    return _sample_verblunsky_block(beta, n, len(indices), rng)
+def _stack_draws(beta: float, n: int, master_seed: int, block: range):
+    """Sample the replicas of `block` from the one stream addressed by its
+    first index: (gamma (C, n-1) complex, eta (C,))."""
+    return _sample_verblunsky_block(beta, n, len(block), RngStream(master_seed, block.start))
 
 
 def _count_arcs_block(gamma: np.ndarray, eta: np.ndarray, n: int, xs: np.ndarray) -> np.ndarray:

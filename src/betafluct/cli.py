@@ -33,19 +33,25 @@ def _fmt(value) -> str:
 
 def _parse_grid(text: str) -> tuple:
     """Grid syntax: 'lo:hi:count' (linear) or 'geom:lo:hi:count' (geometric)."""
+    bad = f"bad grid {text!r}; use lo:hi:count or geom:lo:hi:count"
     parts = text.split(":")
+    space = np.linspace
+    if parts[0] == "geom":
+        space, parts = np.geomspace, parts[1:]
     try:
-        if parts[0] == "geom":
-            lo, hi, count = float(parts[1]), float(parts[2]), int(parts[3])
-            if len(parts) != 4:
-                raise ValueError
-            return tuple(float(v) for v in np.geomspace(lo, hi, count))
-        lo, hi, count = float(parts[0]), float(parts[1]), int(parts[2])
         if len(parts) != 3:
             raise ValueError
-        return tuple(float(v) for v in np.linspace(lo, hi, count))
-    except (IndexError, ValueError) as exc:
-        raise ValueError(f"bad grid {text!r}; use lo:hi:count or geom:lo:hi:count") from exc
+        lo, hi, count = float(parts[0]), float(parts[1]), int(parts[2])
+    except ValueError as exc:
+        raise ValueError(bad) from exc
+    # an infinite endpoint would give nan grid points and a NumPy warning
+    for typed, value in zip(parts, (lo, hi)):
+        if math.isinf(value):
+            raise ValueError(f"grid endpoints must be finite, got {typed}")
+    try:
+        return tuple(float(v) for v in space(lo, hi, count))
+    except ValueError as exc:
+        raise ValueError(bad) from exc
 
 
 def _parse_float_list(text: str) -> tuple:

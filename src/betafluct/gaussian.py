@@ -8,7 +8,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .circlemap import _lift_affine
-from .rng import BLOCK_SIZE, RngStream, block_start, chi_sample, gaussian_sample, TWO_PI
+from .rng import RngStream, chi_sample, gaussian_sample, replica_blocks, TWO_PI
 
 # Relative winding distance to an integer below which a sweep count is
 # reported as ill-conditioned instead of silently rounded.
@@ -88,11 +88,10 @@ def sample_tridiagonal(beta: float, n: int, rng: RngStream) -> TridiagonalModel:
     return TridiagonalModel(diag=diag[0], offdiag=offdiag[0])
 
 
-def _stack_models(beta: float, n: int, master_seed: int, indices: np.ndarray):
-    """Sample the block of replicas `indices` (a contiguous range) from the
-    one stream addressed by its first index: (diag (C, n), offdiag (C, n-1))."""
-    rng = RngStream(master_seed, block_start(indices))
-    return _sample_tridiagonal_block(beta, n, len(indices), rng)
+def _stack_models(beta: float, n: int, master_seed: int, block: range):
+    """Sample the replicas of `block` from the one stream addressed by its
+    first index: (diag (C, n), offdiag (C, n-1))."""
+    return _sample_tridiagonal_block(beta, n, len(block), RngStream(master_seed, block.start))
 
 
 def _conjugate_block(offdiag: np.ndarray):
@@ -274,25 +273,24 @@ def semicircle_residual(mu: float, n: int) -> float:
     return angle_sum - float(mass)
 
 
-def _cross_count_chunks(beta: float, n: int, draws: int, lams_per_draw: int, seed: int, ell: int):
-    """Both eigenvalue counters on random draws, BLOCK_SIZE draws at a time.
+def _cross_count_chunks(beta: float, n: int, draws: int, lams_per_draw: int, seed: int):
+    """Both eigenvalue counters on random draws, one replica block at a time.
 
     Draw d and its lams_per_draw uniform spectral points covering the
-    spectrum come from RngStream(seed, d). Yields, per chunk, the stacked
-    (diag, offdiag, lams) with one row per draw, the sweep counts and flags,
-    and the Sturm counts, each (C, lams_per_draw).
+    spectrum come from RngStream(seed, d). Yields, per block, the stacked
+    (diag, offdiag, lams) with one row per draw, the sweep counts and flags
+    (split at ell = n // 2), and the Sturm counts, each (C, lams_per_draw).
     """
     half_width = 2.0 * math.sqrt(n) + 2.0
-    for start in range(0, draws, BLOCK_SIZE):
-        size = min(BLOCK_SIZE, draws - start)
-        diag, offdiag = np.empty((size, n)), np.empty((size, n - 1))
-        lams = np.empty((size, lams_per_draw))
-        for row in range(size):
-            rng = RngStream(seed, start + row)
+    for block in replica_blocks(draws):
+        diag, offdiag = np.empty((len(block), n)), np.empty((len(block), n - 1))
+        lams = np.empty((len(block), lams_per_draw))
+        for row, d in enumerate(block):
+            rng = RngStream(seed, d)
             model = sample_tridiagonal(beta, n, rng)
             diag[row], offdiag[row] = model.diag, model.offdiag
             lams[row] = rng.generator.uniform(-half_width, half_width, lams_per_draw)
-        sweep, flags = _sweep_counts_block(diag, offdiag, lams, ell)
+        sweep, flags = _sweep_counts_block(diag, offdiag, lams, n // 2)
         yield diag, offdiag, lams, sweep, flags, _sturm_block(diag, offdiag, lams)
 
 
@@ -307,8 +305,8 @@ def verify_counts(
 
     For each sampled model, lams_per_draw uniform points covering the
     spectrum are counted by phase sweep and by Sturm pivots; counts must
-    agree exactly except at flagged near-degenerate points. The sweep splits
-    at ell = n // 2. Returns (unflagged mismatches, flagged points).
+    agree exactly except at flagged near-degenerate points. Returns
+    (unflagged mismatches, flagged points).
     """
     if n < 1:
         raise ValueError(f"n must be at least 1, got {n}")
@@ -316,7 +314,7 @@ def verify_counts(
         raise ValueError("draws and lams_per_draw must be positive")
     mismatches = 0
     flagged = 0
-    chunks = _cross_count_chunks(beta, n, draws, lams_per_draw, seed, n // 2)
+    chunks = _cross_count_chunks(beta, n, draws, lams_per_draw, seed)
     for *_, sweep, flags, sturm in chunks:
         mismatches += int(np.sum((sweep != sturm) & ~flags))
         flagged += int(np.sum(flags))

@@ -74,19 +74,11 @@ def beta_1s_sample(s, rng: RngStream, size=None):
     return np.subtract(1.0, u, out=u)
 
 
-def block_start(indices) -> int:
-    """Stream index of a block of replicas: its first replica index.
-
-    The block must be a contiguous ascending range, so that the block's
-    address and its size together name exactly the replicas it holds.
-    """
-    indices = np.asarray(indices)
-    if indices.ndim != 1 or indices.size == 0:
-        raise ValueError("a block needs a non-empty 1-d range of replica indices")
-    start = int(indices[0])
-    if not np.array_equal(indices, np.arange(start, start + indices.size)):
-        raise ValueError("replica indices of a block must be a contiguous ascending range")
-    return start
+def replica_blocks(m: int, base: int = 0) -> list[range]:
+    """Consecutive ranges of at most BLOCK_SIZE replica indices covering
+    base .. base + m - 1; a block draws from the stream of its first index."""
+    stop = base + m
+    return [range(start, min(start + BLOCK_SIZE, stop)) for start in range(base, stop, BLOCK_SIZE)]
 
 
 TWO_PI = 2.0 * math.pi

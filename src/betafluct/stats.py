@@ -11,7 +11,7 @@ import numpy as np
 
 from .circular import _count_arcs_block, _final_phases, _stack_draws
 from .gaussian import _stack_models, _sturm_block, semicircle_count
-from .rng import BLOCK_SIZE, RngStream, TWO_PI
+from .rng import RngStream, TWO_PI, replica_blocks
 
 # Stream-index namespace: replicas occupy [0, 2^32); per-row bootstrap
 # streams live above that.
@@ -32,13 +32,15 @@ def cue_variance_oracle(n: int, arc_length: float) -> float:
 
     The k >= n tail is summed in closed form via
     sum_{k>=1} sin^2(k x) / k^2 = x (pi - x) / 2 for x in [0, pi], so the
-    value is exact up to rounding, tighter than any fixed truncation.
+    value is exact up to rounding, tighter than any fixed truncation. It is
+    evaluated at min(L, 2 pi - L): the complement arc holds n minus the count,
+    so both have the same variance, and L = 2 pi gives exactly 0.
     """
     if n < 1:
         raise ValueError(f"n must be at least 1, got {n}")
     if not 0.0 <= arc_length <= TWO_PI:
         raise ValueError(f"arc length must lie in [0, 2*pi], got {arc_length}")
-    x = 0.5 * arc_length
+    x = 0.5 * min(arc_length, TWO_PI - arc_length)
     full = 0.5 * x * (math.pi - x)
     k = np.arange(1, n, dtype=float)
     sin2 = np.sin(k * x) ** 2
@@ -138,15 +140,10 @@ def resolve_workers(requested: int) -> int:
 
 
 # ----------------------------------------------------------------------
-# Block execution. Replicas are processed in blocks of BLOCK_SIZE. Tasks must
-# stay picklable (module-level worker, plain tuples) so the process pool can
-# run them; results are merged in task order, so outputs are byte-identical
-# for any worker count.
-
-
-def _iter_blocks(m: int):
-    for start in range(0, m, BLOCK_SIZE):
-        yield start, min(start + BLOCK_SIZE, m)
+# Block execution. Replicas are processed in the blocks of replica_blocks.
+# Tasks must stay picklable (module-level worker, plain tuples, the block a
+# range) so the process pool can run them; results are merged in task order,
+# so outputs are byte-identical for any worker count.
 
 
 def _run_ordered(worker, tasks: list, workers: int) -> list:
@@ -162,15 +159,14 @@ def _run_ordered(worker, tasks: list, workers: int) -> list:
 
 
 def _scan_worker(task):
-    """(offset, bincount) histogram of one scan row's counts for replicas
-    [start, stop), at the row's levels from _scan_row_params."""
-    ensemble, beta, n, levels, seed, base, start, stop = task
-    indices = base + np.arange(start, stop)
+    """(offset, bincount) histogram of one scan row's counts for the replicas
+    of a block, at the row's levels from _scan_row_params."""
+    ensemble, beta, n, levels, seed, block = task
     if ensemble in ("cbe", "sine"):
-        gamma, eta = _stack_draws(beta, n, seed, indices)
+        gamma, eta = _stack_draws(beta, n, seed, block)
         counts = _count_arcs_block(gamma, eta, n, np.array(levels))[:, 0]
     else:
-        diag, offdiag = _stack_models(beta, n, seed, indices)
+        diag, offdiag = _stack_models(beta, n, seed, block)
         below = _sturm_block(diag, offdiag, np.array(levels))
         counts = below[:, 1] - below[:, 0]
     offset = int(counts.min())
@@ -255,16 +251,16 @@ def variance_scan(spec: ScanSpec, m: int, seed: int, workers: int = 1) -> list[S
     if m < 2:
         raise ValueError(f"need at least 2 replicas, got {m}")
     params = [_scan_row_params(spec, xi) for xi in spec.xis]
-    blocks = list(_iter_blocks(m))
     tasks = [
-        (spec.ensemble, spec.beta, spec.n, levels, seed, row_idx * m, start, stop)
+        (spec.ensemble, spec.beta, spec.n, levels, seed, block)
         for row_idx, (levels, _) in enumerate(params)
-        for start, stop in blocks
+        for block in replica_blocks(m, row_idx * m)
     ]
     results = _run_ordered(_scan_worker, tasks, workers)
+    per_row = len(tasks) // len(params)
     rows = []
     for row_idx, (_, (interval, xi_out, ref_mean)) in enumerate(params):
-        hist, lo = _merge_histograms(results[row_idx * len(blocks) : (row_idx + 1) * len(blocks)])
+        hist, lo = _merge_histograms(results[row_idx * per_row : (row_idx + 1) * per_row])
         support = np.nonzero(hist)[0]
         values, weights = support + lo, hist[support]
         row_m, mean, variance = _histogram_moments(values, weights)
@@ -316,9 +312,8 @@ def wilson_upper(hits: int, m: int) -> float:
 
 
 def _tail_worker(task):
-    beta, n, theta, a, b_grid, seed, start, stop = task
-    indices = np.arange(start, stop)
-    gamma, _ = _stack_draws(beta, n, seed, indices)
+    beta, n, theta, a, b_grid, seed, block = task
+    gamma, _ = _stack_draws(beta, n, seed, block)
     psi = _final_phases(gamma, np.array([theta]), a)[:, 0]
     excess = psi - a
     hits = np.array([int(np.sum(excess >= b)) for b in b_grid], dtype=np.int64)
@@ -352,7 +347,7 @@ def tail_check(
     if m < 1:
         raise ValueError(f"need at least 1 replica, got {m}")
     b_grid = tuple(float(b) for b in b_grid)
-    tasks = [(beta, n, theta, a, b_grid, seed, start, stop) for start, stop in _iter_blocks(m)]
+    tasks = [(beta, n, theta, a, b_grid, seed, block) for block in replica_blocks(m)]
     results = _run_ordered(_tail_worker, tasks, workers)
     hits = np.zeros(len(b_grid), dtype=np.int64)
     sumsq = 0.0
@@ -373,9 +368,8 @@ def tail_check(
 
 
 def _regularity_worker(task):
-    beta, n, alpha, grid, seed, start, stop = task
-    indices = np.arange(start, stop)
-    gamma, eta = _stack_draws(beta, n, seed, indices)
+    beta, n, alpha, grid, seed, block = task
+    gamma, eta = _stack_draws(beta, n, seed, block)
     xs = np.asarray(grid)
     counts = _count_arcs_block(gamma, eta, n, xs)
     deviation = np.abs(counts - xs / TWO_PI) / (1.0 + xs) ** alpha
@@ -404,6 +398,6 @@ def regularity_profile(
     n = int(math.ceil(10.0 * x_max))
     npts = max(2, int(math.ceil(math.log10(x_max) * 8)) + 1)
     grid = tuple(float(v) for v in np.geomspace(1.0, x_max, npts))
-    tasks = [(beta, n, alpha, grid, seed, start, stop) for start, stop in _iter_blocks(m)]
+    tasks = [(beta, n, alpha, grid, seed, block) for block in replica_blocks(m)]
     results = _run_ordered(_regularity_worker, tasks, workers)
     return np.concatenate(results)

@@ -57,7 +57,7 @@ def test_criterion_1_cross_oracle_counts():
     for beta in (0.5, 1.0, 2.0, 4.0):
         for n in (8, 32, 64, 200):
             # the chunks verify_counts checks, plus the dense-eigenvalue oracle
-            chunks = _cross_count_chunks(beta, n, draws=100, lams_per_draw=50, seed=101, ell=n // 2)
+            chunks = _cross_count_chunks(beta, n, draws=100, lams_per_draw=50, seed=101)
             for diag, offdiag, lams, sweep, flags, sturm in chunks:
                 for d in range(len(diag)):
                     eigs = eigvalsh_tridiagonal(diag[d], offdiag[d]) if n > 1 else diag[d]

@@ -39,7 +39,7 @@ def test_tracer_counts_prufer_steps():
     # the work formula reads _final_phases' (C, J) block and its K levels
     tracer = _load_tracer().Tracer()
     c, depth, k = 5, 7, 3
-    gamma, eta = stats._stack_draws(2.0, depth + 1, 1, np.arange(c))
+    gamma, eta = stats._stack_draws(2.0, depth + 1, 1, range(c))
     tracer.install()
     try:
         counts = stats._count_arcs_block(gamma, eta, depth + 1, np.linspace(0.5, 4.0, k))
@@ -53,7 +53,7 @@ def test_tracer_counts_sturm_steps():
     # the work formula reads _sturm_block's (C, n) diagonal and the last
     # axis of its (K,) or (C, K) levels, through both bindings
     c, n, k = 5, 9, 3
-    diag, offdiag = stats._stack_models(2.0, n, 1, np.arange(c))
+    diag, offdiag = stats._stack_models(2.0, n, 1, range(c))
     tracer_module = _load_tracer()
     for module, levels in (
         (stats, np.linspace(-2.0, 2.0, k)),

@@ -45,7 +45,7 @@ def test_verblunsky_validation():
 def test_verblunsky_last_coefficient_uniform_beta2():
     # at beta = 2 the last squared modulus is Beta(1, 1)
     m = 20000
-    gamma, _ = _stack_draws(2.0, 6, 21, np.arange(m))
+    gamma, _ = _stack_draws(2.0, 6, 21, range(m))
     radius_sq = np.abs(gamma[:, -1]) ** 2
     assert kstest(radius_sq, "uniform").statistic < 1.63 / math.sqrt(m)
 
@@ -53,7 +53,7 @@ def test_verblunsky_last_coefficient_uniform_beta2():
 def test_verblunsky_first_coefficient_mean():
     # Beta(1, 10) mean is 1/11 for beta = 2, n = 11
     m = 10**5
-    gamma, _ = _stack_draws(2.0, 11, 22, np.arange(m))
+    gamma, _ = _stack_draws(2.0, 11, 22, range(m))
     assert abs(np.mean(np.abs(gamma[:, 0]) ** 2) - 1.0 / 11.0) < 0.005
 
 
@@ -64,7 +64,7 @@ def test_block_sampler_coefficient_laws(beta):
     # pooled as a scan pools them.
     n, block, blocks = 6, 2048, 3
     parts = [
-        _stack_draws(beta, n, 80, np.arange(s, s + block))
+        _stack_draws(beta, n, 80, range(s, s + block))
         for s in range(0, blocks * block, block)
     ]
     gamma = np.concatenate([g for g, _ in parts])
@@ -78,19 +78,16 @@ def test_block_sampler_coefficient_laws(beta):
 
 
 def test_stack_draws_block_addressing():
-    idx = np.arange(4096, 4096 + 300)
-    g1, e1 = _stack_draws(1.5, 12, 81, idx)
-    g2, e2 = _stack_draws(1.5, 12, 81, idx)
+    block = range(4096, 4096 + 300)
+    g1, e1 = _stack_draws(1.5, 12, 81, block)
+    g2, e2 = _stack_draws(1.5, 12, 81, block)
     assert np.array_equal(g1, g2) and np.array_equal(e1, e2)
-    g3, _ = _stack_draws(1.5, 12, 81, idx + 1)
+    g3, _ = _stack_draws(1.5, 12, 81, range(4097, 4097 + 300))
     assert not np.any(g1 == g3)
     # the one-draw sampler is the one-replica block at the same address
     draw = sample_verblunsky(1.5, 12, RngStream(81, 4096))
-    g4, e4 = _stack_draws(1.5, 12, 81, np.arange(4096, 4097))
+    g4, e4 = _stack_draws(1.5, 12, 81, range(4096, 4097))
     assert np.array_equal(draw.gamma, g4[0]) and draw.eta == e4[0]
-    for bad in ([0, 2, 3], [3, 2, 1], [], [[0, 1], [2, 3]]):
-        with pytest.raises(ValueError):
-            _stack_draws(1.5, 12, 81, np.array(bad, dtype=np.int64))
 
 
 @pytest.mark.parametrize("beta", (0.5, 2.0, 4.0))
@@ -168,7 +165,7 @@ def test_prufer_offset_equivariance():
 
 def test_prufer_full_winding_over_period():
     n = 50
-    gamma, _ = _stack_draws(2.0, n, 24, np.arange(100))
+    gamma, _ = _stack_draws(2.0, n, 24, range(100))
     lo = _final_phases(gamma, np.array([0.13]))[:, 0]
     hi = _final_phases(gamma, np.array([0.13 + TWO_PI]))[:, 0]
     assert np.max(np.abs(hi - lo - TWO_PI * n)) < 1e-9
@@ -176,7 +173,7 @@ def test_prufer_full_winding_over_period():
 
 def test_prufer_monotone_in_theta_and_offset():
     n = 30
-    gamma, _ = _stack_draws(2.0, n, 25, np.arange(100))
+    gamma, _ = _stack_draws(2.0, n, 25, range(100))
     thetas = np.linspace(0.0, 0.5, 100)
     psi = _final_phases(gamma, thetas)
     assert np.all(np.diff(psi, axis=1) > 0)
@@ -208,7 +205,7 @@ def test_prufer_martingale_mean():
     # psi_k(theta, a) - k*theta is a martingale started at theta + a
     n, m = 30, 10**5
     theta, a = 0.8 / n, 0.37
-    gamma, _ = _stack_draws(2.0, n, 27, np.arange(m))
+    gamma, _ = _stack_draws(2.0, n, 27, range(m))
     psi = _final_phases(gamma, np.array([theta]), a=a)[:, 0]
     drift = psi - (n - 1) * theta - (theta + a)
     assert abs(drift.mean()) < 5.0 * drift.std() / math.sqrt(m)
@@ -332,7 +329,7 @@ def test_count_arcs_match_cmv_eigenvalues():
     checked = skipped = 0
     for beta in (0.5, 1.0, 2.0, 4.0):
         for n in (1, 2, 3, 8, 33, 100):
-            gamma, eta = _stack_draws(beta, n, 41, np.arange(draws))
+            gamma, eta = _stack_draws(beta, n, 41, range(draws))
             xs_rng = RngStream(42, n)
             for d in range(draws):
                 angles = _cmv_eigenangles(gamma[d], eta[d])
@@ -367,7 +364,7 @@ def _phases_longdouble(gamma, thetas, a):
 @pytest.mark.parametrize("beta", (0.5, 2.0))
 def test_final_phases_match_extended_precision(beta):
     for n in (10, 300, 3000):
-        gamma, _ = _stack_draws(beta, n, 43, np.arange(4))
+        gamma, _ = _stack_draws(beta, n, 43, range(4))
         thetas = np.array([0.5, 10.0, 300.0]) / n
         psi = _final_phases(gamma, thetas, 0.3)
         exact = _phases_longdouble(gamma, thetas, 0.3)
@@ -412,7 +409,7 @@ def test_final_phases_match_per_step_arctan2(beta):
     # arctan2 per step
     for n in (1, 2, 64, 300):
         for draws in (1, 64):
-            gamma, eta = _stack_draws(beta, n, 47, np.arange(draws))
+            gamma, eta = _stack_draws(beta, n, 47, range(draws))
             _check_runs(gamma)
             for thetas in (np.array([0.3]), np.array([0.3, 7.0, 0.8 * TWO_PI * n]) / n):
                 psi = _final_phases(gamma, thetas, 0.2)
@@ -486,7 +483,7 @@ def test_tail_bound_and_second_moment_invariant():
     hits = {12.0: 0, 24.0: 0, 48.0: 0}
     sumsq = 0.0
     for start in range(0, m, 50000):
-        idx = np.arange(start, min(start + 50000, m))
+        idx = range(start, min(start + 50000, m))
         gamma, _ = _stack_draws(2.0, n, 35, idx)
         psi = _final_phases(gamma, np.array([theta]), a=a)[:, 0]
         for b in hits:

@@ -198,6 +198,10 @@ def test_usage_errors_exit_2(capsys):
          "scale values must be non-negative and finite, got nan"),
         (["scan-gbe", "--grid", "geom:1:nan:2", "--samples", "10"],
          "scale values must be non-negative and finite, got nan"),
+        (["scan-gbe", "--grid", "1:inf:2", "--samples", "10"], "grid endpoints must be finite, got inf"),
+        (["scan-cbe", "--grid", "geom:1:inf:3", "--samples", "10"],
+         "grid endpoints must be finite, got inf"),
+        (["oracle-cue", "--grid", "geom:1:inf:2"], "grid endpoints must be finite, got inf"),
         (["verify-count", "--beta", "nan", "--samples", "10"],
          "beta must be positive and finite, got nan"),
         (["sample", "--ensemble", "cbe", "--beta", "inf", "--samples", "1"],

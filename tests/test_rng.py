@@ -3,9 +3,17 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.stats import kstest
 
-from betafluct.rng import RngStream, gaussian_sample, chi_sample, beta_1s_sample
+from betafluct.rng import (
+    BLOCK_SIZE,
+    RngStream,
+    beta_1s_sample,
+    chi_sample,
+    gaussian_sample,
+    replica_blocks,
+)
 
 
 def test_gaussian_degenerate_sd_returns_mean():
@@ -146,3 +154,15 @@ def test_negative_stream_index_rejected():
     with pytest.raises(ValueError):
         RngStream(0, -1)
 
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(m=st.integers(1, 5 * BLOCK_SIZE + 3), base=st.integers(0, 1 << 33))
+def test_replica_blocks_tile_in_order(m, base):
+    blocks = replica_blocks(m, base)
+    assert [i for block in blocks for i in block] == list(range(base, base + m))
+    for k, block in enumerate(blocks):
+        assert isinstance(block, range) and block.step == 1 and len(block) > 0
+        assert block.start == base + k * BLOCK_SIZE
+    assert all(len(block) == BLOCK_SIZE for block in blocks[:-1])
+    assert len(blocks[-1]) == m - (len(blocks) - 1) * BLOCK_SIZE

@@ -7,7 +7,7 @@ from scipy.stats import norm, spearmanr
 
 from betafluct.circular import _count_arcs_block, _stack_draws
 from betafluct.cli import main
-from betafluct.rng import BLOCK_SIZE, RngStream
+from betafluct.rng import BLOCK_SIZE, RngStream, replica_blocks
 from betafluct.stats import (
     ScanRow,
     ScanSpec,
@@ -42,8 +42,18 @@ def _row(xi, variance):
 
 
 def test_oracle_edges_vanish():
-    assert cue_variance_oracle(16, 0.0) == 0.0
-    assert cue_variance_oracle(16, TWO_PI) == pytest.approx(0.0, abs=1e-12)
+    for n in (1, 2, 16, 64, 1000):
+        assert cue_variance_oracle(n, 0.0) == 0.0
+        assert cue_variance_oracle(n, TWO_PI) == 0.0
+
+
+def test_oracle_complement_symmetry():
+    # N(complement) = n - N(arc), so an arc and its complement share a variance
+    for n in (1, 2, 16, 64, 1000):
+        for arc in np.linspace(0.0, TWO_PI, 37):
+            assert cue_variance_oracle(n, arc) == pytest.approx(
+                cue_variance_oracle(n, TWO_PI - arc), abs=1e-12
+            )
 
 
 def test_oracle_single_point_is_bernoulli():
@@ -92,12 +102,8 @@ def test_scan_moments_match_recomputed_counts():
     rows = variance_scan(ScanSpec("cbe", beta, n, xis), m=m, seed=seed)
     for r, (row, xi) in enumerate(zip(rows, xis)):
         counts = np.concatenate([
-            _count_arcs_block(
-                *_stack_draws(beta, n, seed, r * m + np.arange(start, min(start + BLOCK_SIZE, m))),
-                n,
-                np.array([xi]),
-            )[:, 0]
-            for start in range(0, m, BLOCK_SIZE)
+            _count_arcs_block(*_stack_draws(beta, n, seed, block), n, np.array([xi]))[:, 0]
+            for block in replica_blocks(m, r * m)
         ])
         assert row.m == len(counts) == m
         assert row.mean == pytest.approx(np.mean(counts), rel=1e-12)
