@@ -50,6 +50,14 @@ def beta2_log_scans():
 
 
 def test_criterion_1_cross_oracle_counts():
+    """Sweep, Sturm and dense counts agree at every unflagged level.
+
+    The phase sweep and the Sturm pivots are one transfer recursion read in
+    two charts: the forward chart value after map l is -(a_l / s_l) times
+    Sturm's pivot d_l. Their agreement checks the arithmetic of each chart,
+    not the model; the independent leg is the dense eigvalsh_tridiagonal
+    spectrum.
+    """
     t0 = time.monotonic()
     mismatches = 0
     flagged = 0

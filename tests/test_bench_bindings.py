@@ -67,3 +67,22 @@ def test_tracer_counts_sturm_steps():
             tracer.uninstall()
         assert counts.shape == (c, k)
         assert tracer.counters["gaussian.sturm_steps"] == c * k * n
+
+
+def test_tracer_counts_sweep_steps():
+    # the work formula reads _sweep_counts_block's (C, n) diagonal and its
+    # levels; each side of the split ends in one lift, which the tracer sees
+    # through the binding betafluct.gaussian._lift_affine
+    c, n, k = 5, 9, 3
+    diag, offdiag = stats._stack_models(2.0, n, 1, range(c))
+    tracer = _load_tracer().Tracer()
+    tracer.install()
+    try:
+        counts, flags = gaussian._sweep_counts_block(
+            diag, offdiag, np.linspace(-2.0, 2.0, c * k).reshape(c, k), n // 2
+        )
+    finally:
+        tracer.uninstall()
+    assert counts.shape == flags.shape == (c, k)
+    assert tracer.counters["gaussian.sweep_steps"] == c * k * n
+    assert tracer.counters["circlemap.lift_calls"] == 2

@@ -7,7 +7,10 @@ from numpy.polynomial import polynomial as npoly
 from scipy.integrate import quad
 from scipy.linalg import eigvalsh_tridiagonal
 
+from betafluct.circlemap import _lift_affine
 from betafluct.gaussian import (
+    NEAR_DEGENERATE_TOL,
+    SWEEP_TILE,
     STURM_TILE,
     TridiagonalModel,
     carousel_params,
@@ -37,16 +40,30 @@ def _model(diag, offdiag):
 
 
 def _conjugated_bands(model):
-    """Subdiagonal s_1..s_{n-1} and superdiagonal s_{p-1} + Y_{p-1} of the
+    """Subdiagonal s_1..s_{n-1} and superdiagonal s_{p-1} / a_{p-1} of the
     conjugated model."""
-    s, y = _conjugate_block(model.offdiag[None, :])
-    return s[1:], s[:-1] + y[0, :-1]
+    s, a = _conjugate_block(model.offdiag[None, :])
+    return s[1:], s[:-1] / a[0, :-1]
 
 
 def _phases(model, lams, ell):
     """One draw's forward and backward sweep phases, each (K,)."""
     fwd, bwd = _sweep_phases(model.diag[None, :], model.offdiag[None, :], lams, ell)
     return fwd[0], bwd[0]
+
+
+def _lift_sweep(diag, offdiag, lams, ell):
+    """The sweep as a composition of lifts, one per transfer step, (C, K)
+    each: forward, a half turn and then the lift of r -> a_l*(r + b_l);
+    backward, the inverse lift and a half turn back."""
+    s, a = _conjugate_block(offdiag)
+    fwd, bwd = np.full(lams.shape, math.pi), np.zeros(lams.shape)
+    for l in range(ell):
+        fwd = _lift_affine(fwd + math.pi, a[:, l : l + 1], (lams - diag[:, l : l + 1]) / s[l])
+    for l in range(diag.shape[1] - 1, ell - 1, -1):
+        al = a[:, l : l + 1]
+        bwd = _lift_affine(bwd, 1.0 / al, al * (diag[:, l : l + 1] - lams) / s[l]) - math.pi
+    return fwd, bwd
 
 
 def _charpoly_coeffs(diag, sub, sup):
@@ -134,9 +151,10 @@ def test_conjugate_fixed_point():
     # off-diagonal equal to sqrt(s_0 s_1) is left unchanged by the similarity
     n = 2
     s0, s1 = math.sqrt(n - 0.5), math.sqrt(n - 1.5)
-    s, y = _conjugate_block(np.array([[math.sqrt(s0 * s1)]]))
-    assert y[0, 0] == pytest.approx(0.0, abs=1e-14)
-    assert s[0] + y[0, 0] == pytest.approx(s0, abs=1e-14)
+    s, a = _conjugate_block(np.array([[math.sqrt(s0 * s1)]]))
+    assert s.tolist() == [s0, s1]
+    assert a[0, 0] == pytest.approx(1.0, abs=1e-14)
+    assert a[0, 1] == 1.0  # the pad of the final map
 
 
 def test_conjugate_rejects_zero_offdiag():
@@ -161,6 +179,20 @@ def test_conjugate_offdiag_products_match():
     sub, sup = _conjugated_bands(model)
     assert np.allclose(sub * sup, model.offdiag**2, rtol=1e-14)
     assert np.all(sup > 0)
+
+
+def test_conjugate_gain_survives_an_offdiagonal_below_an_ulp():
+    # draw 12 of this stream has an off-diagonal of 3.5e-11, whose square is
+    # below an ulp of s_{p-1}: a gain formed as s_{p-1} / (s_{p-1} + Y_{p-1}),
+    # Y_{p-1} = offdiag_p^2 / s_p - s_{p-1}, rounded the band to 0 and the gain
+    # to inf; five of these 200 draws swept to NaN, and 25 unflagged counts
+    # differed from Sturm's
+    model = sample_tridiagonal(0.2, 16, RngStream(1, 12))
+    s, a = _conjugate_block(model.offdiag[None, :])
+    assert np.any(model.offdiag**2 < np.spacing(s[:-1]))
+    assert np.all(np.isfinite(a)) and np.all(a > 0)
+    assert np.allclose(a[0, :-1] * model.offdiag**2, s[:-1] * s[1:], rtol=1e-14)
+    assert verify_counts(0.2, 16, draws=200, lams_per_draw=5, seed=1) == (0, 0)
 
 
 # ---------------------------------------------------------------- sturm
@@ -253,6 +285,9 @@ def test_phase_sweep_far_left():
     fwd, bwd = _phases(model, np.array([-1e6]), 12)
     assert fwd[0] == pytest.approx(math.pi, abs=1e-3)
     assert bwd[0] == pytest.approx(0.0, abs=1e-3)
+    # an empty side is its start state, read off through one lift exactly
+    assert _phases(model, np.array([-1e6]), 0)[0][0] == math.pi
+    assert _phases(model, np.array([-1e6]), 24)[1][0] == 0.0
 
 
 def test_phase_sweep_flags_a_level_on_an_eigenvalue():
@@ -265,6 +300,18 @@ def test_phase_sweep_flags_a_level_on_an_eigenvalue():
     two = _model([0.0, 0.0], [1.0])  # eigenvalues -1, 1
     for lam, flagged in ((-1.0, True), (0.0, False), (1.0, True)):
         assert phase_sweep(two, lam, 1).flagged is flagged
+
+
+def test_phase_sweep_through_an_exact_zero_chart_value():
+    # lam = X_0 puts the forward chart value on exactly 0 after map 0, and
+    # lam = X_{n-1} the backward one at its first sheet test; a half turn
+    # from r = 0 crosses into the next sheet, so every split must still give
+    # Sturm's count
+    model = _model([0.0, 5.0, -3.0, 2.0], [1.0, 0.5, 2.0])
+    for lam in (0.0, 2.0):
+        for ell in range(model.n + 1):
+            sweep = phase_sweep(model, lam, ell)
+            assert not sweep.flagged and sweep.count == sturm_count(model, lam)
 
 
 def test_phase_sweep_split_independent():
@@ -299,6 +346,46 @@ def test_sweep_count_jumps_at_dense_eigenvalues():
             below = phase_sweep(model, e - 1e-6, 24)
             above = phase_sweep(model, e + 1e-6, 24)
             assert above.count - below.count == 1
+
+
+@settings(max_examples=80, derandomize=True, deadline=None)
+@given(
+    beta=st.floats(0.25, 6.0),
+    n_ell=st.integers(1, 2 * SWEEP_TILE).flatmap(lambda n: st.tuples(st.just(n), st.integers(0, n))),
+    draws=st.integers(1, 8),
+    lams_per_draw=st.integers(1, 8),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_chart_sweep_matches_lift_composition(beta, n_ell, draws, lams_per_draw, seed):
+    # the chart recursion with one lift per side equals one lift per step, for
+    # per-draw and shared levels; its counts and flags are the lift sweep's
+    n, ell = n_ell
+    diag, offdiag = _stack_models(beta, n, seed, range(draws))
+    half_width = 2.0 * math.sqrt(n) + 2.0
+    per_draw = np.random.default_rng(seed).uniform(-half_width, half_width, (draws, lams_per_draw))
+    for lams in (per_draw, per_draw[0]):
+        rows = np.broadcast_to(lams, (draws, lams_per_draw))
+        fwd, bwd = _sweep_phases(diag, offdiag, lams, ell)
+        ref_fwd, ref_bwd = _lift_sweep(diag, offdiag, rows, ell)
+        assert np.max(np.abs(fwd - ref_fwd)) < 1e-8
+        assert np.max(np.abs(bwd - ref_bwd)) < 1e-8
+        winding = (ref_fwd - ref_bwd) / TWO_PI
+        counts, flags = _sweep_counts_block(diag, offdiag, lams, ell)
+        assert np.array_equal(counts, np.floor(winding))
+        assert np.array_equal(flags, np.abs(winding - np.round(winding)) < NEAR_DEGENERATE_TOL)
+
+
+def test_sweep_flags_a_non_finite_winding():
+    # a NaN entry makes its draw's phase NaN on whichever side crosses it;
+    # the count is flagged and defined, and the other draw is untouched
+    diag, offdiag = _stack_models(2.0, 6, 58, range(2))
+    lams = np.linspace(-5.0, 5.0, 7)
+    clean = _sweep_counts_block(diag, offdiag, lams, 3)
+    diag[0, 2] = np.nan
+    for ell in (0, 3, 6):
+        counts, flags = _sweep_counts_block(diag, offdiag, lams, ell)
+        assert flags[0].all() and np.array_equal(counts[0], np.zeros(7))
+        assert np.array_equal(counts[1], clean[0][1]) and np.array_equal(flags[1], clean[1][1])
 
 
 def test_phase_sweep_ell_validation():
