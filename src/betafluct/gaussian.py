@@ -16,12 +16,6 @@ NEAR_DEGENERATE_TOL = 1e-8
 # Levels per tile of _sturm_block: two (tile, C) float copies, 0.5 MB at
 # C = 2048, stay cache-sized; wider tiles cost memory and gain little.
 STURM_TILE = 16
-# Steps per tile of _transfer_rows, and draws per strided copy into a tile.
-# A (C, n) block whose rows are a page long (n = 512) puts a whole column in
-# one cache set; copying 128 draws by 64 steps at a time keeps those reads
-# cached: 2 ms against 8.5 ms for a (2048, 512) block on one core.
-SWEEP_TILE = 64
-TRANSPOSE_CHUNK = 128
 
 
 @dataclass(frozen=True)
@@ -172,28 +166,6 @@ def _sturm_block(diag: np.ndarray, offdiag: np.ndarray, lams: np.ndarray) -> np.
     return neg.T
 
 
-def _transfer_rows(diag, s, a, steps: range):
-    """Yield (X_l, -a_l, a_l / s_l), each a contiguous (C,) row, for l in steps.
-
-    steps ascends or descends. The maps are copied SWEEP_TILE at a time into
-    (tile, C) buffers, TRANSPOSE_CHUNK draws per strided copy, so that no
-    step reads a strided column of a (C, n) block.
-    """
-    c = diag.shape[0]
-    x, neg_a, gain = (np.empty((min(SWEEP_TILE, len(steps)), c)) for _ in range(3))
-    for t0 in range(0, len(steps), SWEEP_TILE):
-        part = steps[t0 : t0 + SWEEP_TILE]
-        lo, w = min(part[0], part[-1]), len(part)
-        for c0 in range(0, c, TRANSPOSE_CHUNK):
-            draws = slice(c0, c0 + TRANSPOSE_CHUNK)
-            np.copyto(x[:w, draws], diag[draws, lo : lo + w].T)
-            np.copyto(neg_a[:w, draws], a[draws, lo : lo + w].T)
-        np.divide(neg_a[:w], s[lo : lo + w, None], out=gain[:w])  # neg_a holds a here
-        np.negative(neg_a[:w], out=neg_a[:w])
-        for l in part:
-            yield x[l - lo], neg_a[l - lo], gain[l - lo]
-
-
 def _sweep_phases(diag, offdiag, lams, ell: int):
     """Forward and backward phases at split ell for stacked draws: (C, K) each.
 
@@ -213,35 +185,39 @@ def _sweep_phases(diag, offdiag, lams, ell: int):
     r <- -a_l/u. r += 0.0 turns a -0.0 into +0.0 before the sign test, so
     that -1/r sends it to -inf like the zero it is. Each side ends with one
     lift, _lift_affine(2*pi*k, 1, r) = 2*pi*k + 2*arctan(r), since tan 0 = 0.
-    The state is (K, C), updated in place one contiguous row per step.
+    The state is (K, C), updated in place; X, -a and a/s are copied once into
+    (n, C) arrays, so that each step reads contiguous (C,) rows.
     """
     n = diag.shape[1]
     s, a = _conjugate_block(offdiag)
-    lam = np.atleast_1d(np.asarray(lams, dtype=float)).T
+    x, gain = np.ascontiguousarray(diag.T), np.ascontiguousarray(a.T)
+    neg_a = -gain
+    gain /= s[:, None]
+    lam = np.ascontiguousarray(np.atleast_1d(np.asarray(lams, dtype=float)).T)
     lam = lam[:, None] if lam.ndim == 1 else lam  # (K, 1) or (K, C)
     shape = (lam.shape[0], diag.shape[0])
     ab = np.empty(shape)  # a_l * b_l
     sheet = np.empty(shape, dtype=bool)
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         k, r = np.ones(shape, dtype=np.int64), np.full(shape, -np.inf)
-        for x, neg_a, gain in _transfer_rows(diag, s, a, range(ell)):
+        for l in range(ell):
             r += 0.0
             np.greater_equal(r, 0.0, out=sheet)
             k += sheet
-            np.divide(neg_a, r, out=r)
-            np.subtract(lam, x, out=ab)
-            ab *= gain
+            np.divide(neg_a[l], r, out=r)
+            np.subtract(lam, x[l], out=ab)
+            ab *= gain[l]
             r += ab
         fwd = _lift_affine(TWO_PI * k, 1.0, r)
         k, r = np.zeros(shape, dtype=np.int64), np.zeros(shape)
-        for x, neg_a, gain in _transfer_rows(diag, s, a, range(n - 1, ell - 1, -1)):
-            np.subtract(lam, x, out=ab)
-            ab *= gain
+        for l in range(n - 1, ell - 1, -1):
+            np.subtract(lam, x[l], out=ab)
+            ab *= gain[l]
             r -= ab
             r += 0.0
             np.less(r, 0.0, out=sheet)
             k -= sheet
-            np.divide(neg_a, r, out=r)
+            np.divide(neg_a[l], r, out=r)
         bwd = _lift_affine(TWO_PI * k, 1.0, r)
     return fwd.T, bwd.T
 
