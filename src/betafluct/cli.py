@@ -3,8 +3,10 @@
 from __future__ import annotations
 
 import argparse
+import importlib.util
 import json
 import math
+import os
 import sys
 import time
 
@@ -18,6 +20,7 @@ from .stats import (
     ScanSpec,
     cue_variance_oracle,
     default_grid,
+    resolve_workers,
     tail_check,
     variance_scan,
 )
@@ -58,6 +61,19 @@ def _parse_float_list(text: str) -> tuple:
     return tuple(float(v) for v in text.split(","))
 
 
+def _scipy_version() -> str:
+    """SciPy's version, from the `scipy.version` module that sets
+    `scipy.__version__`, loaded on its own: importing SciPy takes about 10 ms
+    of a run, and only `sample --ensemble gbe` uses it."""
+    package = importlib.util.find_spec("scipy").submodule_search_locations[0]
+    spec = importlib.util.spec_from_file_location(
+        "_scipy_version", os.path.join(package, "version.py")
+    )
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.version
+
+
 def _emit_table(header: str, rows, args, extra_manifest=None) -> None:
     """Write rows of typed values as CSV (cells formatted by _fmt) or as JSON
     objects whose numbers stay numbers."""
@@ -84,6 +100,12 @@ def _emit_table(header: str, rows, args, extra_manifest=None) -> None:
             "version": __version__,
             "duration_s": time.time() - args.start_time,
             "output": path,
+            "environment": {
+                "python": sys.version.split()[0],
+                "numpy": np.__version__,
+                "scipy": _scipy_version(),
+                "cpu_count": os.cpu_count(),
+            },
         }
         if extra_manifest:
             manifest.update(extra_manifest)
@@ -157,7 +179,11 @@ def _cmd_tail_check(args) -> int:
 
 def _cmd_semicircle_residual(args) -> int:
     lines = []
-    for n in (int(v) for v in _parse_float_list(args.n_grid)):
+    for value in _parse_float_list(args.n_grid):
+        # int() would truncate: 1.5 would run as n = 1
+        if not value.is_integer():
+            raise ValueError(f"n must be an integer, got {value}")
+        n = int(value)
         if n < 1:
             raise ValueError(f"n must be at least 1, got {n}")
         root = math.sqrt(n)
@@ -299,6 +325,8 @@ def main(argv=None) -> int:
     args.raw_argv = argv
     args.start_time = time.time()
     try:
+        if hasattr(args, "workers"):  # the manifest records the resolved count
+            args.workers = resolve_workers(args.workers)
         return args.func(args)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -13,9 +13,10 @@ from .rng import RngStream, chi_sample, gaussian_sample, replica_blocks, TWO_PI
 # Relative winding distance to an integer below which a sweep count is
 # reported as ill-conditioned instead of silently rounded.
 NEAR_DEGENERATE_TOL = 1e-8
-# Levels per tile of _sturm_block: two (tile, C) float copies, 0.5 MB at
-# C = 2048, stay cache-sized; wider tiles cost memory and gain little.
-STURM_TILE = 16
+# Draws per chunk of a block sample: each chunk is drawn into one reused
+# (DRAW_CHUNK, n) buffer, 512 KB at n = 512, which stays in cache while it is
+# copied, transposed, into the step-major block.
+DRAW_CHUNK = 128
 
 
 @dataclass(frozen=True)
@@ -62,23 +63,51 @@ class CarouselParams:
     ell: int
 
 
+def _draw_step_major(draw, count: int, width: int) -> np.ndarray:
+    """A (count, width) array stored step-major, as the .T view of a C-ordered
+    (width, count) one, holding the values that one draw(out) call would put
+    into a C-ordered (count, width) array `out`.
+
+    draw is called on consecutive chunks of DRAW_CHUNK rows of a reused
+    buffer, so it must fill its argument in order, as NumPy's `out=`
+    samplers do. A single row is contiguous in both layouts and is drawn in
+    place.
+    """
+    block = np.empty((width, count)).T
+    if count == 1:
+        draw(block)
+        return block
+    chunk = np.empty((min(DRAW_CHUNK, count), width))
+    for lo in range(0, count, DRAW_CHUNK):
+        rows = chunk[: min(DRAW_CHUNK, count - lo)]
+        draw(rows)
+        block[lo : lo + len(rows)] = rows
+    return block
+
+
 def _sample_tridiagonal_block(beta: float, n: int, count: int, rng: RngStream):
     """Sample `count` independent tridiagonal models of size n from one stream.
 
     The draw order is part of the reproducibility contract: the diagonals
     (count, n) as N(0, 2/beta), then the off-diagonals (count, n-1) as
-    chi_{beta*(n-p)} / sqrt(beta). Returns (diag (count, n), offdiag
-    (count, n-1)).
+    chi_{beta*(n-p)} / sqrt(beta), each in row-major order. Returns (diag
+    (count, n), offdiag (count, n-1)), both stored step-major (see
+    _draw_step_major), so that a recursion across the draws reads one
+    contiguous row per step.
     """
     if not 0 < beta < math.inf:
         raise ValueError(f"beta must be positive and finite, got {beta}")
     if n < 1:
         raise ValueError(f"n must be at least 1, got {n}")
-    diag = gaussian_sample(0.0, math.sqrt(2.0 / beta), rng, size=(count, n))
+    sd, scale = math.sqrt(2.0 / beta), math.sqrt(beta)
     dof = beta * (n - np.arange(1, n, dtype=float))
-    offdiag = chi_sample(dof, rng, size=(count, n - 1))
-    offdiag /= math.sqrt(beta)
-    return diag, offdiag
+
+    def chi(out):
+        chi_sample(dof, rng, out=out)
+        out /= scale
+
+    diag = _draw_step_major(lambda out: gaussian_sample(0.0, sd, rng, out=out), count, n)
+    return diag, _draw_step_major(chi, count, n - 1)
 
 
 def sample_tridiagonal(beta: float, n: int, rng: RngStream) -> TridiagonalModel:
@@ -95,7 +124,8 @@ def _stack_models(beta: float, n: int, master_seed: int, block: range):
 
 
 def _conjugate_block(offdiag: np.ndarray):
-    """Pinned subdiagonal s (n,) and transfer gains a (C, n) of stacked draws.
+    """Pinned subdiagonal s (n,) and transfer gains a (C, n), stored
+    step-major, of stacked draws.
 
     A diagonal similarity of the (positive off-diagonal) model keeps the
     diagonal X and gives subdiagonal entries s_1..s_{n-1}, with
@@ -108,9 +138,9 @@ def _conjugate_block(offdiag: np.ndarray):
     """
     n = offdiag.shape[1] + 1
     s = np.sqrt(n - np.arange(n, dtype=float) - 0.5)
-    a = np.ones((offdiag.shape[0], n))
-    np.divide(s[:-1] * s[1:], np.square(offdiag), out=a[:, : n - 1])
-    return s, a
+    a = np.ones((n, offdiag.shape[0]))  # step-major, like the sampled blocks
+    np.divide((s[:-1] * s[1:])[:, None], np.square(offdiag.T), out=a[: n - 1])
+    return s, a.T
 
 
 def sturm_count(model: TridiagonalModel, lam) -> int | np.ndarray:
@@ -118,9 +148,12 @@ def sturm_count(model: TridiagonalModel, lam) -> int | np.ndarray:
 
     A zero pivot is replaced by -eps*(1 + |lam|) and counted as negative,
     matching half-open interval semantics (boundary eigenvalues count).
+    lam = -inf and +inf give 0 and n; a nan level is rejected.
     """
     scalar = np.isscalar(lam)
     lam_arr = np.atleast_1d(np.asarray(lam, dtype=float))
+    if np.isnan(lam_arr).any():
+        raise ValueError(f"lam must not be nan, got {lam}")
     counts = _sturm_block(model.diag[None, :], model.offdiag[None, :], lam_arr)[0]
     return int(counts[0]) if scalar else counts
 
@@ -130,11 +163,10 @@ def _sturm_block(diag: np.ndarray, offdiag: np.ndarray, lams: np.ndarray) -> np.
     by all draws or (C, K) one row per draw -> (C, K).
 
     Pivot p is d_p = (diag_p - lam) - offdiag_p^2 / d_{p-1}, in that order.
-    A column of a (C, n) block is one element per row, a page apart at
-    gbe-scan's size, so the levels are copied STURM_TILE at a time into
-    contiguous (tile, C) rows, and the pivots, updated in place, are (K, C).
+    Step p reads the rows diag.T[p] and offdiag.T[p-1], which are contiguous
+    in the step-major blocks of _sample_tridiagonal_block (any layout gives
+    the same counts), and the pivots, updated in place, are (K, C).
     """
-    n = diag.shape[1]
     lam = np.asarray(lams, dtype=float).T
     lam = lam[:, None] if lam.ndim == 1 else lam  # (K, 1) or (K, C)
     shape = (lam.shape[0], diag.shape[0])
@@ -142,8 +174,7 @@ def _sturm_block(diag: np.ndarray, offdiag: np.ndarray, lams: np.ndarray) -> np.
     d, t = np.empty(shape), np.empty(shape)
     below = np.empty(shape, dtype=bool)
     neg = np.zeros(shape, dtype=np.int64)
-    rows = np.empty((min(STURM_TILE, n - 1), diag.shape[0]))
-    squares = np.empty_like(rows)
+    square = np.empty(diag.shape[0])
 
     def tally():
         if not d.all():
@@ -152,17 +183,14 @@ def _sturm_block(diag: np.ndarray, offdiag: np.ndarray, lams: np.ndarray) -> np.
         np.add(neg, below, out=neg)
 
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        np.subtract(diag[:, 0], lam, out=d)
+        np.subtract(diag.T[0], lam, out=d)
         tally()
-        for p0 in range(1, n, STURM_TILE):
-            w = min(STURM_TILE, n - p0)
-            np.copyto(rows[:w], diag[:, p0 : p0 + w].T)
-            np.square(offdiag[:, p0 - 1 : p0 - 1 + w].T, out=squares[:w])
-            for row, square in zip(rows[:w], squares[:w]):
-                np.subtract(row, lam, out=t)
-                np.divide(square, d, out=d)
-                np.subtract(t, d, out=d)
-                tally()
+        for row, off in zip(diag.T[1:], offdiag.T):
+            np.subtract(row, lam, out=t)
+            np.square(off, out=square)
+            np.divide(square, d, out=d)
+            np.subtract(t, d, out=d)
+            tally()
     return neg.T
 
 
@@ -185,8 +213,10 @@ def _sweep_phases(diag, offdiag, lams, ell: int):
     r <- -a_l/u. r += 0.0 turns a -0.0 into +0.0 before the sign test, so
     that -1/r sends it to -inf like the zero it is. Each side ends with one
     lift, _lift_affine(2*pi*k, 1, r) = 2*pi*k + 2*arctan(r), since tan 0 = 0.
-    The state is (K, C), updated in place; X, -a and a/s are copied once into
-    (n, C) arrays, so that each step reads contiguous (C,) rows.
+    The state is (K, C), updated in place. X is read as the (n, C) array
+    behind a step-major diag (a copy for any other layout), and -a and a/s
+    are formed once from _conjugate_block's step-major a, so that each step
+    reads contiguous (C,) rows.
     """
     n = diag.shape[1]
     s, a = _conjugate_block(offdiag)
@@ -310,8 +340,9 @@ def _cross_count_chunks(beta: float, n: int, draws: int, lams_per_draw: int, see
     """
     half_width = 2.0 * math.sqrt(n) + 2.0
     for block in replica_blocks(draws):
-        diag, offdiag = np.empty((len(block), n)), np.empty((len(block), n - 1))
-        lams = np.empty((len(block), lams_per_draw))
+        # step-major, as _sample_tridiagonal_block stores a block
+        diag, offdiag = np.empty((n, len(block))).T, np.empty((n - 1, len(block))).T
+        lams = np.empty((lams_per_draw, len(block))).T
         for row, d in enumerate(block):
             rng = RngStream(seed, d)
             model = sample_tridiagonal(beta, n, rng)

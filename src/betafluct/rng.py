@@ -36,23 +36,34 @@ class RngStream:
         self.generator = np.random.default_rng(seq)
 
 
-def gaussian_sample(mean, sd, rng: RngStream, size=None):
-    """Draw from N(mean, sd^2); sd = 0 returns mean exactly."""
+def gaussian_sample(mean, sd, rng: RngStream, size=None, out=None):
+    """Draw from N(mean, sd^2); sd = 0 returns mean exactly.
+
+    With `out`, a C-contiguous float array, the draws fill it in place. They
+    are the values normal(mean, sd) would draw, which computes each as
+    mean + sd * standard_normal.
+    """
     if np.any(np.asarray(sd) < 0):
         raise ValueError("standard deviation must be non-negative")
-    return rng.generator.normal(mean, sd, size)
+    if out is None:
+        return rng.generator.normal(mean, sd, size)
+    rng.generator.standard_normal(out=out)
+    out *= sd
+    out += mean
+    return out
 
 
-def chi_sample(u, rng: RngStream, size=None):
+def chi_sample(u, rng: RngStream, size=None, out=None):
     """Draw a chi variable with u > 0 (possibly non-integer) degrees of freedom.
 
     Uses the identity chi_u = sqrt(2 * Gamma(u/2)); the gamma sampler handles
-    every real shape, including shape < 1.
+    every real shape, including shape < 1. With `out`, a C-contiguous float
+    array that u broadcasts to, the draws fill it in place.
     """
     u = np.asarray(u, dtype=float)
     if np.any(u <= 0):
         raise ValueError("chi degrees of freedom must be positive")
-    chi = rng.generator.standard_gamma(u / 2.0, size=size)
+    chi = rng.generator.standard_gamma(u / 2.0, size=size, out=out)
     if np.ndim(chi) == 0:
         return np.sqrt(2.0 * chi)
     # in place: a second (count, n-1) array would raise a block's peak memory

@@ -1,10 +1,14 @@
 import json
 import math
+import os
+import platform
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
+import scipy
 
 from betafluct.cli import SCAN_HEADER, main
 
@@ -112,6 +116,23 @@ def test_tail_check_output(tmp_path):
     assert "grid" not in manifest["params"]
 
 
+def test_manifest_records_resolved_workers_and_environment(tmp_path):
+    # one block, so --workers 0 starts no pool whatever the CPU count
+    out = str(tmp_path / "tail")
+    argv = ["tail-check", "--n", "8", "--samples", "100", "--b-grid", "6", "--workers", "0",
+            "--out", out]
+    assert main(argv) == 0
+    manifest = json.loads(Path(out + ".manifest.json").read_text())
+    assert manifest["argv"] == argv
+    assert manifest["params"]["workers"] == (os.cpu_count() or 1)
+    assert manifest["environment"] == {
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+        "scipy": scipy.__version__,
+        "cpu_count": os.cpu_count(),
+    }
+
+
 def test_tail_check_stdout_is_only_the_table(capsys):
     rc = main(["tail-check", "--n", "20", "--samples", "500", "--format", "json"])
     captured = capsys.readouterr()
@@ -211,6 +232,8 @@ def test_usage_errors_exit_2(capsys):
         (["sample", "--ensemble", "sine", "--xmax", "nan", "--samples", "1"],
          "x_max must be non-negative and finite, got nan"),
         (["semicircle-residual", "--mu-factors", "nan"], "mu must be non-negative and finite, got nan"),
+        # int() would truncate a fractional size and run n = 1
+        (["semicircle-residual", "--n-grid", "1.5"], "n must be an integer, got 1.5"),
     ):
         assert main(argv) == 2, argv
         assert message in capsys.readouterr().err, argv

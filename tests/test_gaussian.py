@@ -9,8 +9,8 @@ from scipy.linalg import eigvalsh_tridiagonal
 
 from betafluct.circlemap import _lift_affine
 from betafluct.gaussian import (
+    DRAW_CHUNK,
     NEAR_DEGENERATE_TOL,
-    STURM_TILE,
     TridiagonalModel,
     carousel_params,
     phase_sweep,
@@ -21,6 +21,7 @@ from betafluct.gaussian import (
     verify_counts,
     _conjugate_block,
     _cross_count_chunks,
+    _sample_tridiagonal_block,
     _strict_int_part,
     _sweep_phases,
     _sweep_counts_block,
@@ -113,6 +114,26 @@ def test_block_sampler_moments(beta):
     for p in range(1, n):
         sq = offdiag[:, p - 1] ** 2
         assert abs(np.mean(sq) - (n - p)) < 5.0 * math.sqrt(2.0 * (n - p) / beta / m)
+
+
+@pytest.mark.parametrize("n", [1, 2, 512])
+@pytest.mark.parametrize(
+    "count", [1, DRAW_CHUNK - 1, DRAW_CHUNK, DRAW_CHUNK + 1, 2 * DRAW_CHUNK + 3]
+)
+def test_block_sampler_matches_direct_generator_calls(count, n):
+    # the chunked step-major draw holds exactly what two whole-block generator
+    # calls, diagonals then off-diagonals, draw into C-ordered arrays
+    beta = 1.5
+    diag, offdiag = _sample_tridiagonal_block(beta, n, count, RngStream(84, count))
+    generator = RngStream(84, count).generator
+    expected_diag = generator.normal(0.0, math.sqrt(2.0 / beta), (count, n))
+    dof = beta * (n - np.arange(1, n, dtype=float))
+    gamma = generator.standard_gamma(dof / 2.0, (count, n - 1))
+    expected_offdiag = np.sqrt(2.0 * gamma) / math.sqrt(beta)
+    assert diag.shape == (count, n) and offdiag.shape == (count, n - 1)
+    assert np.array_equal(diag, expected_diag)
+    assert np.array_equal(offdiag, expected_offdiag)
+    assert diag.T.flags.c_contiguous and offdiag.T.flags.c_contiguous
 
 
 def test_stack_models_block_addressing():
@@ -234,6 +255,16 @@ def test_sturm_monotone_with_limits():
     assert np.all(np.diff(counts) >= 0)
     assert sturm_count(model, -1e9) == 0
     assert sturm_count(model, 1e9) == 32
+    assert sturm_count(model, -math.inf) == 0
+    assert sturm_count(model, math.inf) == 32
+
+
+def test_sturm_count_rejects_a_nan_level():
+    # a nan level would count no negative pivot and read as 0 eigenvalues
+    model = sample_tridiagonal(2.0, 8, RngStream(44, 3))
+    for lam in (math.nan, np.array([0.0, math.nan])):
+        with pytest.raises(ValueError, match="lam must not be nan"):
+            sturm_count(model, lam)
 
 
 def _reference_sturm(diag, offdiag, lam):
@@ -250,12 +281,10 @@ def _reference_sturm(diag, offdiag, lam):
     return count
 
 
-@pytest.mark.parametrize(
-    "n", [1, 2, STURM_TILE - 1, STURM_TILE, STURM_TILE + 1, 2 * STURM_TILE + 3]
-)
+@pytest.mark.parametrize("n", [1, 2, 15, 16, 17, 35])
 def test_sturm_block_matches_reference_loop(n):
-    # tiles of STURM_TILE levels must chain pivots across every seam; rows 0
-    # and 1 put an exact zero pivot at level 0 (lam = 0) and level 1 (lam = 0)
+    # rows 0 and 1 put an exact zero pivot at level 0 (lam = 0) and level 1
+    # (lam = 0); the block is read in C order and step-major
     rng = np.random.default_rng(n)
     c, k = 6, 5
     diag = rng.normal(0.0, 2.0, size=(c, n))
@@ -265,14 +294,39 @@ def test_sturm_block_matches_reference_loop(n):
     per_draw = rng.uniform(-6.0, 6.0, size=(c, k))
     per_draw[:2, 0] = 0.0
     for lams in (shared, per_draw):
-        counts = _sturm_block(diag, offdiag, lams)
-        assert counts.shape == (c, k)
         rows = np.broadcast_to(lams, (c, k))
         expected = [
             [_reference_sturm(diag[i], offdiag[i], float(lam)) for lam in rows[i]]
             for i in range(c)
         ]
-        assert np.array_equal(counts, expected)
+        for block in ((diag, offdiag), _step_major(diag, offdiag)):
+            counts = _sturm_block(*block, lams)
+            assert counts.shape == (c, k)
+            assert np.array_equal(counts, expected)
+
+
+def _step_major(*arrays):
+    """Copies of (C, w) arrays stored as (w, C), read through .T views."""
+    return tuple(np.ascontiguousarray(a.T).T for a in arrays)
+
+
+def test_block_counters_do_not_depend_on_layout():
+    # the sampler's step-major block and a C-ordered copy of it give the same
+    # Sturm counts and the same sweep counts and flags, for shared and
+    # per-draw levels in either layout
+    c, n, k = 37, 40, 6
+    diag, offdiag = _stack_models(1.0, n, 85, range(c))
+    assert diag.T.flags.c_contiguous
+    c_order = (np.ascontiguousarray(diag), np.ascontiguousarray(offdiag))
+    per_draw = np.random.default_rng(85).uniform(-15.0, 15.0, size=(c, k))
+    for lams in (np.linspace(-15.0, 15.0, k), per_draw, _step_major(per_draw)[0]):
+        sturm = _sturm_block(diag, offdiag, lams)
+        assert np.array_equal(_sturm_block(*c_order, lams), sturm)
+        for ell in (0, n // 2, n):
+            counts, flags = _sweep_counts_block(diag, offdiag, lams, ell)
+            c_counts, c_flags = _sweep_counts_block(*c_order, lams, ell)
+            assert np.array_equal(c_counts, counts) and np.array_equal(c_flags, flags)
+            assert np.array_equal(counts[~flags], sturm[~flags])
 
 
 # ---------------------------------------------------------------- phase sweep

@@ -80,6 +80,22 @@ def test_chi_block_and_vector_calls_equal_one_draw_calls():
     assert np.array_equal(block, one) and np.array_equal(rows, one)
 
 
+def test_out_draws_equal_size_draws():
+    # filling a C-contiguous array in chunks draws the values that one call
+    # with size= draws, in the same order
+    u = np.array([0.4, 1.0, 3.3, 9.0])
+    normal = gaussian_sample(0.0, 1.5, RngStream(8, 1), size=(7, 4))
+    chi = chi_sample(u, RngStream(8, 2), size=(7, 4))
+    for sample, args, seed, expected in (
+        (gaussian_sample, (0.0, 1.5), 1, normal),
+        (chi_sample, (u,), 2, chi),
+    ):
+        rng, out = RngStream(8, seed), np.empty((7, 4))
+        for lo, hi in ((0, 3), (3, 4), (4, 7)):
+            sample(*args, rng, out=out[lo:hi])
+        assert np.array_equal(out, expected)
+
+
 def test_beta_s1_is_uniform():
     draws = beta_1s_sample(1.0, RngStream(16, 0), size=10**5)
     stat = kstest(draws, "uniform").statistic
