@@ -27,7 +27,11 @@ class VerblunskyDraw:
         return len(self.gamma) + 1
 
     def __post_init__(self):
-        if len(self.gamma) and np.max(np.abs(self.gamma)) >= 1.0:
+        gamma = np.asarray(self.gamma)
+        if not np.isfinite(gamma).all():
+            raise ValueError("gamma entries must be finite")
+        # |g|^2 as _final_phases forms 1 - |g|^2, which must stay positive
+        if (gamma.real**2 + gamma.imag**2 >= 1.0).any():
             raise ValueError("coefficients must lie in the open unit disc")
         if not 0.0 <= self.eta < TWO_PI:
             raise ValueError(f"eta must lie in [0, 2*pi), got {self.eta}")
@@ -38,6 +42,12 @@ class VerblunskyDraw:
 # modulus up to 4.4e-16 above 1; a margin of 2^-50 = 8.9e-16 keeps every
 # |gamma| below 1.
 RADIUS_CAP = 1.0 - 2.0**-50
+# Rows per chunk of the sampler's argument draws. The uniforms are drawn into
+# one reused (ARG_CHUNK, n-1) buffer and turned into gamma chunk by chunk, so
+# a block holds the radii and gamma, not a third (count, n-1) array as well.
+# At (2048, 63) that keeps the block under glibc's trim threshold, which had
+# it return and re-fault about 976 pages per block.
+ARG_CHUNK = 128
 
 
 def _sample_verblunsky_block(beta: float, n: int, count: int, rng: RngStream):
@@ -48,7 +58,8 @@ def _sample_verblunsky_block(beta: float, n: int, count: int, rng: RngStream):
     eta uniform on [0, 2*pi). The draw order is part of the reproducibility
     contract: squared radii (count, n-1) by inverse CDF, then arguments
     (count, n-1), then eta (count,). Returns (gamma (count, n-1) complex,
-    eta (count,)).
+    eta (count,)). The arguments are drawn in row order, ARG_CHUNK rows at a
+    time, which gives the values of one (count, n-1) draw.
 
     The radius is capped at RADIUS_CAP = 1 - 2^-50, so every coefficient lies
     in the open unit disc. At beta >= 2 the cap binds with probability below
@@ -66,19 +77,23 @@ def _sample_verblunsky_block(beta: float, n: int, count: int, rng: RngStream):
     radius = beta_1s_sample(0.5 * beta * (n - 1.0 - np.arange(n - 1)), rng, size=size)
     np.sqrt(radius, out=radius)
     np.minimum(radius, RADIUS_CAP, out=radius)
-    t = rng.generator.random(size)
-    t *= math.pi
-    np.tan(t, out=t)
     # Built in place in gamma's own parts: complex temporaries of shape
     # (count, n-1) would set the process's peak memory at n in the thousands.
     gamma = np.empty(size, dtype=complex)
-    np.multiply(t, t, out=gamma.imag)
-    np.subtract(1.0, gamma.imag, out=gamma.real)
-    gamma.imag += 1.0
-    radius /= gamma.imag
-    gamma.real *= radius
-    t *= 2.0
-    np.multiply(t, radius, out=gamma.imag)
+    chunk = np.empty((min(ARG_CHUNK, count), n - 1))
+    for lo in range(0, count, ARG_CHUNK):
+        t = chunk[: min(ARG_CHUNK, count - lo)]
+        g, r = gamma[lo : lo + len(t)], radius[lo : lo + len(t)]
+        rng.generator.random(out=t)
+        t *= math.pi
+        np.tan(t, out=t)
+        np.multiply(t, t, out=g.imag)
+        np.subtract(1.0, g.imag, out=g.real)
+        g.imag += 1.0
+        r /= g.imag
+        g.real *= r
+        t *= 2.0
+        np.multiply(t, r, out=g.imag)
     eta = TWO_PI * rng.generator.random(count)
     return gamma, eta
 
@@ -90,37 +105,79 @@ def sample_verblunsky(beta: float, n: int, rng: RngStream) -> VerblunskyDraw:
     return VerblunskyDraw(gamma=gamma[0], eta=float(eta[0]))
 
 
-# Largest bound on the summed Prufer increments that one arctan2 may resolve;
-# see _prufer_runs. The margin pi - 3.1 = 0.04 is far above the rounding of a
-# run's product, of order (run length) * 1e-16.
-PRUFER_RUN_LIMIT = 3.1
+# Bytes of each float64 coefficient tile in _final_phases. A tile holds a
+# few steps of the block, step-major, and stays below glibc's 128 KiB mmap
+# threshold, so that forming it takes no fresh pages.
+TILE_BYTES = 112 * 1024
 
 
-def _prufer_runs(gamma: np.ndarray) -> list[int]:
-    """Split the depth of a (C, J) coefficient block into runs of Prufer
-    steps whose increments one arctan2 can resolve; returns the run ends.
+def _chart_start(psi0: np.ndarray):
+    """Sheet k and chart value t = -cot(psi/2) of phases psi0, with
+    psi0 = 2*pi*k + pi + 2*arctan(t); a psi0 on a sheet boundary 2*pi*k
+    gives t = -inf."""
+    k = np.floor(psi0 / TWO_PI)
+    return k, -1.0 / np.tan(0.5 * psi0 - math.pi * k)
 
-    Step j adds theta + 2*arg q_j to the phase (see _final_phases), and
-    |arg q_j| <= b_j = 2*asin|g_j|: 1-g_j and 1-g_j u both lie in the disc
-    of center 1 and radius |g_j|, whose points have arguments within
-    asin|g_j| of 0. b_j is taken at the largest |g_j| over the block's
-    draws. A run ends before the step that would lift its bound sum to
-    PRUFER_RUN_LIMIT or beyond, so the arguments of a run of two or more
-    steps sum to a value inside (-pi, pi), and the principal argument of the
-    product of their q_j is that sum. A step whose own bound reaches the
-    limit is a run of one, whose arctan2 is the per-step one.
+
+def _chart_rotation(thetas: np.ndarray):
+    """Whole sheets m and tau = tan(rho) of rotations by thetas, where
+    theta/2 = m*pi + rho with rho in [-pi/2, pi/2]."""
+    m = np.round(thetas / TWO_PI)
+    return m, np.tan(0.5 * thetas - math.pi * m)
+
+
+def _chart_steps(gamma, tau, t, turns, careful: bool):
+    """Run the chart recursion of _final_phases over the columns of gamma,
+    updating the (K, C) chart values t and sheet crossings turns in place.
+
+    careful: also carry a t of +-inf (a phase on a sheet boundary) through
+    the rotation, to its limit -1/tau, or unchanged where tau = 0. The plain
+    step sends it to NaN.
     """
-    bound = 2.0 * np.arcsin(np.max(np.abs(gamma), axis=0, initial=0.0))
-    stops = []
-    total = 0.0
-    for j, b in enumerate(bound.tolist()):
-        if j and total + b >= PRUFER_RUN_LIMIT:
-            stops.append(j)
-            total = 0.0
-        total += b
-    if bound.size:
-        stops.append(bound.size)
-    return stops
+    n_draws, depth = gamma.shape
+    tile = max(1, TILE_BYTES // (8 * max(n_draws, 1)))
+    # the coefficient tiles, and tau tiled to (K, C): a same-shape multiply
+    # is faster than one that broadcasts a (K, 1) column
+    tiles = [np.empty((tile, n_draws)) for _ in range(4)]
+    tau = np.broadcast_to(tau, t.shape).copy()
+    neg_tau = -tau
+    w = np.empty_like(t)
+    cross = np.empty(t.shape, dtype=bool)
+    if careful:
+        edge = np.empty(t.shape, dtype=bool)
+        still = tau == 0.0
+        limit = -1.0 / tau
+    for start in range(0, depth, tile):
+        stop = min(start + tile, depth)
+        x, y, a, d = (buf[: stop - start] for buf in tiles)
+        np.copyto(x, gamma.real[:, start:stop].T)
+        np.copyto(y, gamma.imag[:, start:stop].T)
+        # d = 1 - |g|^2, then a = |1-g|^2 / d and d = -2 Im g / d
+        np.multiply(x, x, out=d)
+        np.multiply(y, y, out=a)
+        d += a
+        np.subtract(1.0, d, out=d)
+        np.subtract(1.0, x, out=x)
+        x *= x
+        x += a
+        np.divide(x, d, out=a)
+        y *= -2.0
+        np.divide(y, d, out=d)
+        for j in range(stop - start):
+            t *= a[j]
+            t += d[j]
+            if careful:
+                np.isinf(t, out=edge)
+                np.copyto(limit, t, where=still)
+            # t <- (t + tau)/(1 - tau t), as (-tau - t)/w with w = tau t - 1
+            np.multiply(t, tau, out=w)
+            w -= 1.0
+            np.subtract(neg_tau, t, out=t)
+            t /= w
+            np.greater_equal(w, 0.0, out=cross)
+            turns += cross
+            if careful:
+                np.copyto(t, limit, where=edge)
 
 
 def _final_phases(gamma: np.ndarray, thetas: np.ndarray, a: float = 0.0) -> np.ndarray:
@@ -129,53 +186,45 @@ def _final_phases(gamma: np.ndarray, thetas: np.ndarray, a: float = 0.0) -> np.n
     gamma: (C, J) complex coefficients; thetas: (K,) angles shared by all
     draws. Returns the depth-J phase matrix of shape (C, K).
 
-    The Prufer step psi += theta + 2*(arg(1-g) - arg(1-g e^{i psi})) runs on
-    u = e^{i psi}, so it needs no cos or sin: with q = (1-g)*conj(1-g u), the
-    increment is theta + 2*arg q and u moves to u e^{i theta} q/conj(q).
-    arg(1-g) and arg(1-g u) both lie in (-pi/2, pi/2), since 1-g and 1-g u
-    sit in the disc of center 1 and radius |g| < 1, so their difference is
-    the principal argument of q. The conj(q) of each run from _prufer_runs
-    are multiplied into one product, and one arctan2 per run gives the sum
-    of their arguments.
+    Step j, psi += theta + 2*(arg(1-g) - arg(1-g e^{i psi})) with g = gamma_j,
+    is a disc automorphism of u = e^{i psi} that fixes u = 1, then a
+    rotation by theta. The recursion runs in the chart t = -cot(psi/2) with a
+    sheet count k, psi = 2*pi*k + pi + 2*arctan(t), where u = 1 is t = inf:
+    - the automorphism is affine there and keeps k:
+      t <- alpha*t + delta, alpha = |1-g|^2/(1-|g|^2),
+      delta = -2*Im(g)/(1-|g|^2);
+    - with theta/2 = m*pi + rho and tau = tan(rho), the rotation adds m
+      sheets and sends t to (t + tau)/(1 - tau*t); k moves by sign(tau)
+      where 1 - tau*t <= 0. It is computed as (-tau - t)/(tau*t - 1), so an
+      exact zero denominator is +0 and sends t to -sign(tau)*inf, the
+      boundary of the sheet just entered.
+
+    Each step is eight real (K, C) passes with one division, and alpha and
+    delta are formed in step-major tiles of TILE_BYTES each. The start is
+    (k0, t0) of theta + a, and psi_J = 2*pi*(k0 + J*m + k) + pi + 2*arctan(t).
+    A t of +-inf entering a rotation becomes NaN, so the draws where that
+    happened (a phase exactly on a sheet boundary) are run again with the
+    careful step of _chart_steps.
     """
     gamma = np.atleast_2d(gamma)
-    thetas = np.atleast_1d(np.asarray(thetas, dtype=float))[:, None]
-    n_draws, depth = gamma.shape
-    # (K, C) buffers, so each step broadcasts one coefficient column along
-    # contiguous rows; e^{i theta} is tiled, since a same-shape multiply is
-    # faster than a broadcast one. Only the args of q are summed per run,
-    # and psi = theta + a + J*theta + 2*sum(arg q) is assembled at the end.
-    shape = (thetas.size, n_draws)
-    psi0 = thetas + a
-    u = np.exp(1j * np.broadcast_to(psi0, shape))
-    rot = np.broadcast_to(np.exp(1j * thetas), shape).copy()
-    winding = np.zeros(shape)
-    q = np.empty(shape, dtype=complex)
-    q_bar = np.empty(shape, dtype=complex)
-    product = np.empty(shape, dtype=complex)
-    arg = np.empty(shape)
-    c = np.empty(n_draws, dtype=complex)
-    cg = np.empty(n_draws, dtype=complex)
-    start = 0
-    for stop in _prufer_runs(gamma):
-        product.fill(1.0)
-        for j in range(start, stop):
-            g = gamma[:, j]
-            np.subtract(1.0, g, out=c)
-            np.conjugate(c, out=c)
-            np.multiply(c, g, out=cg)
-            # conj(q) = conj(1-g) * (1 - g u), and arg q = -arg conj(q)
-            np.multiply(u, cg, out=q_bar)
-            np.subtract(c, q_bar, out=q_bar)
-            product *= q_bar
-            np.conjugate(q_bar, out=q)
-            u *= rot
-            u *= q
-            u /= q_bar
-        np.arctan2(product.imag, product.real, out=arg)
-        winding -= arg
-        start = stop
-    return (psi0 + depth * thetas + 2.0 * winding).T
+    thetas = np.atleast_1d(np.asarray(thetas, dtype=float))
+    depth = gamma.shape[1]
+    shape = (thetas.size, gamma.shape[0])
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        k0, t0 = _chart_start(thetas + a)
+        m, tau = _chart_rotation(thetas)
+        tau = tau[:, None]
+        t = np.broadcast_to(t0[:, None], shape).copy()
+        turns = np.zeros(shape, dtype=np.int32)
+        _chart_steps(gamma, tau, t, turns, careful=False)
+        lost = np.isnan(t).any(axis=0)
+        if lost.any():
+            redo = np.broadcast_to(t0[:, None], (thetas.size, np.count_nonzero(lost))).copy()
+            redo_turns = np.zeros(redo.shape, dtype=np.int32)
+            _chart_steps(gamma[lost], tau, redo, redo_turns, careful=True)
+            t[:, lost], turns[:, lost] = redo, redo_turns
+    sheets = np.sign(tau) * turns + (k0 + depth * m)[:, None]
+    return (TWO_PI * sheets + (math.pi + 2.0 * np.arctan(t))).T
 
 
 def prufer_evaluate(
@@ -276,8 +325,12 @@ def _stack_draws(beta: float, n: int, master_seed: int, block: range):
 
 
 def _count_arcs_block(gamma: np.ndarray, eta: np.ndarray, n: int, xs: np.ndarray) -> np.ndarray:
-    """Arc counts for a block of draws at each rescaled length in xs: (C, K)."""
+    """Arc counts for a block of draws at each rescaled length in xs: (C, K).
+    A phase that is not finite (from a non-finite coefficient or length)
+    raises, where a cast would make it a count."""
     psi = _final_phases(gamma, np.asarray(xs, dtype=float) / n)
+    if not np.all(np.isfinite(psi)):
+        raise ValueError("Prufer phase is not finite: a coefficient or arc length is not finite")
     return (
         np.floor((psi - eta[:, None]) / TWO_PI).astype(np.int64)
         - np.floor(-eta[:, None] / TWO_PI).astype(np.int64)

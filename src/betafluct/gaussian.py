@@ -38,7 +38,11 @@ class TridiagonalModel:
     def __post_init__(self):
         if len(self.diag) < 1 or len(self.offdiag) != len(self.diag) - 1:
             raise ValueError("need a non-empty diagonal and one off-diagonal entry fewer")
-        if np.any(self.offdiag <= 0):
+        if not np.isfinite(self.diag).all():
+            raise ValueError("diag entries must be finite")
+        if not np.isfinite(self.offdiag).all():
+            raise ValueError("offdiag entries must be finite")
+        if (self.offdiag <= 0).any():
             raise ValueError("off-diagonal entries must be positive")
 
 

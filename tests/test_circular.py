@@ -1,11 +1,13 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.stats import kstest
 
 from betafluct.circular import (
-    PRUFER_RUN_LIMIT,
+    ARG_CHUNK,
     RADIUS_CAP,
     VerblunskyDraw,
     sample_verblunsky,
@@ -14,13 +16,14 @@ from betafluct.circular import (
     cbe_points,
     sine_beta_window,
     default_window_size,
+    _chart_rotation,
+    _chart_start,
     _final_phases,
-    _prufer_runs,
     _sample_verblunsky_block,
     _stack_draws,
     _count_arcs_block,
 )
-from betafluct.rng import RngStream
+from betafluct.rng import RngStream, beta_1s_sample
 
 TWO_PI = 2.0 * math.pi
 
@@ -108,15 +111,51 @@ def test_block_matches_cos_sin_construction(beta, n):
     assert np.array_equal(eta, TWO_PI * gen.random(count))
 
 
+@pytest.mark.parametrize("count", (1, 127, 128, 129, 300))
+@pytest.mark.parametrize("n", (1, 2, 64))
+def test_block_sampler_draws_arguments_in_chunks_as_one_draw(count, n):
+    # the arguments drawn ARG_CHUNK rows at a time give gamma bit for bit as
+    # one (count, n-1) draw does, and eta follows them in the stream
+    gamma, eta = _sample_verblunsky_block(1.5, n, count, RngStream(85, 3))
+    rng = RngStream(85, 3)
+    s = 0.5 * 1.5 * (n - 1.0 - np.arange(n - 1))
+    radius = np.minimum(np.sqrt(beta_1s_sample(s, rng, size=(count, n - 1))), RADIUS_CAP)
+    t = np.tan(math.pi * rng.generator.random((count, n - 1)))
+    expected = np.empty((count, n - 1), dtype=complex)
+    expected.imag = 1.0 + t * t
+    expected.real = (1.0 - t * t) * (radius / expected.imag)
+    expected.imag = 2.0 * t * (radius / expected.imag)
+    assert np.array_equal(gamma.view(float), expected.view(float))
+    assert np.array_equal(eta, TWO_PI * rng.generator.random(count))
+    assert ARG_CHUNK == 128
+
+
+def test_block_sampler_peak_memory():
+    # cbe-regularity's block, (C, n) = (1024, 3000): the sampler holds the
+    # radii and gamma, three (C, n-1) floats of 24.6 MB each, and no fourth
+    # one for the argument draws. Its peak reads 3.16 such arrays (with one
+    # chunk of ARG_CHUNK rows), and 4.03 with a whole argument array.
+    tracemalloc.start()
+    try:
+        _sample_verblunsky_block(2.0, 3000, 1024, RngStream(86, 0))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3.5 * 1024 * 2999 * 8, peak
+
+
 class _StubGenerator:
     """Hands out preset uniforms in the order the sampler draws them."""
 
     def __init__(self, *draws):
         self.draws = list(draws)
 
-    def random(self, size):
-        out = np.asarray(self.draws.pop(0), dtype=float)
-        assert out.shape == np.empty(size).shape
+    def random(self, size=None, out=None):
+        draw = np.asarray(self.draws.pop(0), dtype=float)
+        if out is None:
+            assert draw.shape == np.empty(size).shape
+            return draw
+        out[...] = draw
         return out
 
 
@@ -358,21 +397,34 @@ def _phases_longdouble(gamma, thetas, a):
     return psi
 
 
-@pytest.mark.skipif(
-    np.finfo(np.longdouble).eps >= np.finfo(float).eps, reason="long double is double here"
-)
-@pytest.mark.parametrize("beta", (0.5, 2.0))
+# Long double is wider than double on x86-64 Linux, not on every platform.
+EXTENDED = np.finfo(np.longdouble).eps < np.finfo(float).eps
+# Phase error bound against _phases_longdouble, from measurement. The chart
+# kernel reads at most 1.2e-12 on these tests, and 1.5e-13 on the four-draw
+# blocks of test_final_phases_match_extended_precision. A rotation written
+# as -cot(rho) - csc(rho)^2/(t - cot(rho)) reads 7.5e-11 there at beta = 2
+# and 2.4e-9 at beta = 4.
+PHASE_TOL = 5e-12
+# Bound on the bytes _final_phases allocates at once on cbe-regularity's
+# block, from tracemalloc: it reads 1.26 MiB.
+PEAK_BYTES = 4 * 2**20
+
+
+@pytest.mark.skipif(not EXTENDED, reason="long double is double here")
+@pytest.mark.parametrize("beta", (0.5, 2.0, 4.0))
 def test_final_phases_match_extended_precision(beta):
     for n in (10, 300, 3000):
         gamma, _ = _stack_draws(beta, n, 43, range(4))
         thetas = np.array([0.5, 10.0, 300.0]) / n
         psi = _final_phases(gamma, thetas, 0.3)
         exact = _phases_longdouble(gamma, thetas, 0.3)
-        assert np.max(np.abs(psi - exact)) < 1e-9, n
+        assert np.max(np.abs(psi - exact)) < PHASE_TOL, n
 
 
 def _phases_per_step(gamma, thetas, a):
-    """The unit-complex Prufer step with one arctan2 per step."""
+    """The unit-complex Prufer step with one arctan2 per step: u = e^{i psi}
+    moves to u e^{i theta} q/conj(q), q = (1-g)*conj(1-g u), and psi gains
+    theta + 2*arg q."""
     thetas = np.asarray(thetas, dtype=float)[:, None]
     shape = (thetas.size, gamma.shape[0])
     psi0 = thetas + a
@@ -387,44 +439,166 @@ def _phases_per_step(gamma, thetas, a):
     return (psi0 + gamma.shape[1] * thetas + 2.0 * winding).T
 
 
-def _check_runs(gamma):
-    # the runs tile [0, J) in order, and a run of two or more steps keeps
-    # its bound sum below the limit
-    assert PRUFER_RUN_LIMIT < math.pi
-    stops = _prufer_runs(gamma)
-    bound = 2.0 * np.arcsin(np.max(np.abs(gamma), axis=0, initial=0.0))
-    start = 0
-    for stop in stops:
-        assert stop > start
-        if stop - start > 1:
-            assert sum(bound[start:stop].tolist()) < PRUFER_RUN_LIMIT, (start, stop)
-        start = stop
-    assert start == gamma.shape[1]
-    return stops
-
-
 @pytest.mark.parametrize("beta", (0.25, 2.0, 4.0))
 def test_final_phases_match_per_step_arctan2(beta):
-    # one arctan2 per run of steps must give the phases and counts of one
-    # arctan2 per step
+    # the chart recursion gives the counts of one arctan2 per step exactly,
+    # and phases within PHASE_TOL of the extended-precision recursion
     for n in (1, 2, 64, 300):
         for draws in (1, 64):
             gamma, eta = _stack_draws(beta, n, 47, range(draws))
-            _check_runs(gamma)
             for thetas in (np.array([0.3]), np.array([0.3, 7.0, 0.8 * TWO_PI * n]) / n):
                 psi = _final_phases(gamma, thetas, 0.2)
                 ref = _phases_per_step(gamma, thetas, 0.2)
-                assert np.max(np.abs(psi - ref)) < 1e-12, (n, draws)
+                assert np.max(np.abs(psi - ref)) < 1e-11, (n, draws)
+                if EXTENDED:
+                    exact = _phases_longdouble(gamma, thetas, 0.2)
+                    assert np.max(np.abs(psi - exact)) < PHASE_TOL, (n, draws)
                 counts = np.floor((psi - eta[:, None]) / TWO_PI)
                 assert np.array_equal(counts, np.floor((ref - eta[:, None]) / TWO_PI)), (n, draws)
 
 
-def test_final_phases_radius_cap_runs_one_step():
+@pytest.mark.skipif(not EXTENDED, reason="long double is double here")
+def test_final_phases_match_extended_precision_at_the_radius_cap():
+    # every coefficient on the circle of radius RADIUS_CAP, where 1 - |g|^2
+    # is about 1.8e-15 and alpha reaches about 2e15
     gen = np.random.default_rng(48)
     gamma = RADIUS_CAP * np.exp(TWO_PI * 1j * gen.random((64, 63)))
-    assert _check_runs(gamma) == list(range(1, 64))
     thetas = np.array([0.3, 1.1, 5.0])
-    assert np.array_equal(_final_phases(gamma, thetas, 0.2), _phases_per_step(gamma, thetas, 0.2))
+    psi = _final_phases(gamma, thetas, 0.2)
+    assert np.max(np.abs(psi - _phases_longdouble(gamma, thetas, 0.2))) < PHASE_TOL
+    ref = _phases_per_step(gamma, thetas, 0.2)
+    assert np.array_equal(np.floor(psi / TWO_PI), np.floor(ref / TWO_PI))
+
+
+def _lattice_phases(depth, thetas, a):
+    """psi_J of zero coefficients, theta + a + J*theta, and its arc counts
+    for the boundary phase eta = 0.25."""
+    psi = np.asarray(thetas, dtype=float) + a + depth * np.asarray(thetas, dtype=float)
+    return psi, np.floor((psi - 0.25) / TWO_PI) - math.floor(-0.25 / TWO_PI)
+
+
+@pytest.mark.parametrize("depth", (1, 9, 40))
+def test_final_phases_zero_coefficients_on_every_sheet(depth):
+    # gamma = 0 gives alpha = 1 and delta = 0, so only the rotation acts:
+    # theta = 0 (tau = 0), theta in [2 pi, 4 pi) (whole sheets m), and
+    # theta = 30, where theta/2 - 4 pi = 2.43 > pi/2 reduces to a negative
+    # tau; without sign(tau) the phase at n = 10 is off by about 50 rad
+    thetas = np.array([0.0, 0.3, 3.0, 3.2, TWO_PI, 7.0, 30.0, 2.0 * TWO_PI + 0.1])
+    gamma = np.zeros((3, depth), dtype=complex)
+    for a in (0.0, 0.2, 1.0, 5.9):
+        psi, counts = _lattice_phases(depth, thetas, a)
+        got = _final_phases(gamma, thetas, a)
+        assert np.max(np.abs(got - psi)) < 1e-12 * (1.0 + np.max(psi)), a
+        got_counts = np.floor((got - 0.25) / TWO_PI) - math.floor(-0.25 / TWO_PI)
+        assert np.array_equal(got_counts, np.broadcast_to(counts, got.shape)), a
+
+
+def _boundary_case(theta, landing):
+    """(theta', a), theta' within 64 ulps of theta, for which rotation number
+    `landing` (from 1) of zero coefficients meets a sheet boundary exactly:
+    tau*t rounds to 1, so 1 - tau*t is exactly 0. The chart values are
+    replayed with the kernel's rotation (-tau - t)/(tau*t - 1). The t that
+    one ulp steps of a reach lie about 15 ulps of tau*t apart, and theta is
+    stepped too until one of them lands on 1."""
+    for i in range(-64, 64):
+        th = theta + i * np.spacing(theta)
+        _, tau = _chart_rotation(np.array([th]))
+        # before that rotation t = 1/tau, which is psi = -theta mod 2 pi
+        psi0 = (-landing * th) % TWO_PI
+        for j in range(-32, 32):
+            a = psi0 + j * np.spacing(psi0) - th
+            _, t = _chart_start(np.array([th + a]))
+            for step in range(1, landing + 1):
+                w = tau[0] * t[0] - 1.0
+                if w == 0.0:
+                    if step == landing:
+                        return th, a
+                    break
+                t = (-tau - t) / w
+    raise AssertionError("no rotation meets the boundary")
+
+
+@pytest.mark.parametrize("theta", (0.5, 2.5, 5.0, 7.0, 11.0))
+def test_final_phases_through_an_exact_sheet_boundary(theta):
+    # 1 - tau*t = 0 exactly at the third rotation: the step moves the sheet
+    # and t goes to -sign(tau)*inf, which puts the phase on the boundary;
+    # the next rotation of that infinite t must reach its limit -1/tau, not
+    # NaN. theta = 5.0 and 11.0 have tau < 0, and 5.0, 7.0 and 11.0 add
+    # whole sheets, m = 1, 1 and 2.
+    theta, a = _boundary_case(theta, 3)
+    for depth in (3, 4, 9):
+        gamma = np.zeros((2, depth), dtype=complex)
+        psi, counts = _lattice_phases(depth, [theta], a)
+        got = _final_phases(gamma, np.array([theta]), a)
+        assert np.all(np.isfinite(got)), depth
+        assert np.max(np.abs(got - psi)) < 1e-12 * (1.0 + psi[0]), depth
+        assert np.array_equal(np.floor((got - 0.25) / TWO_PI) - math.floor(-0.25 / TWO_PI),
+                              np.broadcast_to(counts, got.shape)), depth
+    # random draws alongside the boundary one are untouched by its rerun
+    gamma, _ = _stack_draws(2.0, 8, 49, range(3))
+    gamma[1] = 0.0
+    got = _final_phases(gamma, np.array([theta]), a)
+    assert np.array_equal(got[[0, 2]], _final_phases(gamma[[0, 2]], np.array([theta]), a))
+    assert abs(got[1, 0] - (a + 8 * theta)) < 1e-12 * (1.0 + a + 8 * theta)
+
+
+def test_count_arcs_block_rejects_a_non_finite_phase():
+    # a cast would turn a NaN phase into INT64_MIN
+    gamma, eta = _stack_draws(2.0, 6, 50, range(3))
+    with pytest.raises(ValueError, match="not finite"):
+        _count_arcs_block(gamma, eta, 6, np.array([1.0, math.nan]))
+    gamma[1, 2] = math.nan
+    with pytest.raises(ValueError, match="not finite"):
+        _count_arcs_block(gamma, eta, 6, np.array([1.0, 3.0]))
+
+
+@pytest.mark.parametrize("bad", (math.nan, math.inf, complex(0.1, math.nan)))
+def test_verblunsky_draw_rejects_non_finite_gamma(bad):
+    # [nan, 0.1] passed the disc check, since nan >= 1 is false, and
+    # count_arc then returned INT64_MIN + 1
+    for gamma in ([bad, 0.1], np.array([bad, 0.1], dtype=complex)):
+        with pytest.raises(ValueError, match="gamma entries must be finite"):
+            VerblunskyDraw(gamma=gamma, eta=0.5)
+    assert VerblunskyDraw(gamma=[0.1, 0.2j], eta=0.5).n == 3
+    with pytest.raises(ValueError, match="eta"):
+        VerblunskyDraw(gamma=np.array([0.1], dtype=complex), eta=math.nan)
+
+
+def test_final_phases_peak_memory():
+    # cbe-regularity's block, (C, J, K) = (1024, 2999, 21): the kernel's own
+    # allocations stay far below one (C, J) float array (24.6 MB), so the
+    # chart coefficients are formed in tiles, not for the whole block
+    gen = np.random.default_rng(51)
+    gamma = 0.9 * gen.random((1024, 2999)) * np.exp(TWO_PI * 1j * gen.random((1024, 2999)))
+    thetas = np.geomspace(1.0, 300.0, 21) / 3000.0
+    tracemalloc.start()
+    try:
+        _final_phases(gamma, thetas)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < PEAK_BYTES, peak
+
+
+@settings(max_examples=80, derandomize=True, deadline=None)
+@given(
+    beta=st.floats(0.25, 6.0),
+    n=st.integers(1, 64),
+    draws=st.integers(1, 8),
+    thetas=st.lists(st.floats(0.0, 3.0 * TWO_PI), min_size=1, max_size=8),
+    a=st.floats(0.0, TWO_PI, exclude_max=True),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_chart_phases_match_per_step_composition(beta, n, draws, thetas, a, seed):
+    # the chart recursion equals one arctan2 per step at any rotation and
+    # offset: phases within 1e-11, and equal arc counts
+    gamma, eta = _stack_draws(beta, n, seed, range(draws))
+    thetas = np.array(thetas)
+    psi = _final_phases(gamma, thetas, a)
+    ref = _phases_per_step(gamma, thetas, a)
+    assert np.max(np.abs(psi - ref)) < 1e-11
+    counts = np.floor((psi - eta[:, None]) / TWO_PI)
+    assert np.array_equal(counts, np.floor((ref - eta[:, None]) / TWO_PI))
 
 
 def test_sine_window_empty():

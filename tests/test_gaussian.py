@@ -259,6 +259,17 @@ def test_sturm_monotone_with_limits():
     assert sturm_count(model, math.inf) == 32
 
 
+@pytest.mark.parametrize("field", ("diag", "offdiag"))
+@pytest.mark.parametrize("bad", (math.nan, math.inf, -math.inf))
+def test_tridiagonal_model_rejects_non_finite_entries(field, bad):
+    # a nan entry made sturm_count return 2 of 3 (off-diagonal) or 1 of 2
+    # (diagonal) with no flag
+    bands = {"diag": np.zeros(3), "offdiag": np.ones(2)}
+    bands[field][1] = bad
+    with pytest.raises(ValueError, match=f"{field} entries must be finite"):
+        _model(**bands)
+
+
 def test_sturm_count_rejects_a_nan_level():
     # a nan level would count no negative pivot and read as 0 eigenvalues
     model = sample_tridiagonal(2.0, 8, RngStream(44, 3))
