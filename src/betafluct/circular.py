@@ -42,12 +42,11 @@ class VerblunskyDraw:
 # modulus up to 4.4e-16 above 1; a margin of 2^-50 = 8.9e-16 keeps every
 # |gamma| below 1.
 RADIUS_CAP = 1.0 - 2.0**-50
-# Rows per chunk of the sampler's argument draws. The uniforms are drawn into
-# one reused (ARG_CHUNK, n-1) buffer and turned into gamma chunk by chunk, so
-# a block holds the radii and gamma, not a third (count, n-1) array as well.
-# At (2048, 63) that keeps the block under glibc's trim threshold, which had
-# it return and re-fault about 976 pages per block.
-ARG_CHUNK = 128
+# Bytes of each float64 buffer that a chunk of the block sampler, or a tile
+# of _final_phases, works in. Four such buffers fit a 2 MB L2 cache, and each
+# stays below glibc's 128 KiB mmap threshold, so that forming it takes no
+# fresh pages.
+TILE_BYTES = 112 * 1024
 
 
 def _sample_verblunsky_block(beta: float, n: int, count: int, rng: RngStream):
@@ -58,8 +57,15 @@ def _sample_verblunsky_block(beta: float, n: int, count: int, rng: RngStream):
     eta uniform on [0, 2*pi). The draw order is part of the reproducibility
     contract: squared radii (count, n-1) by inverse CDF, then arguments
     (count, n-1), then eta (count,). Returns (gamma (count, n-1) complex,
-    eta (count,)). The arguments are drawn in row order, ARG_CHUNK rows at a
-    time, which gives the values of one (count, n-1) draw.
+    eta (count,)).
+
+    The block holds two floats per coefficient. The squared radii are drawn
+    into the back half of gamma's own float buffer, and gamma is built over
+    them in chunks of rows, each chunk's buffers TILE_BYTES long: a chunk
+    copies its radius rows out, draws its arguments (in row order, which
+    gives the values of one (count, n-1) draw) and writes its rows of gamma
+    once. Rows [lo, hi) of gamma end at float 2*hi*(n-1) <= (count + hi)*(n-1),
+    so they never reach the radius rows of a later chunk.
 
     The radius is capped at RADIUS_CAP = 1 - 2^-50, so every coefficient lies
     in the open unit disc. At beta >= 2 the cap binds with probability below
@@ -74,24 +80,24 @@ def _sample_verblunsky_block(beta: float, n: int, count: int, rng: RngStream):
     if n < 1:
         raise ValueError(f"n must be at least 1, got {n}")
     size = (count, n - 1)
-    radius = beta_1s_sample(0.5 * beta * (n - 1.0 - np.arange(n - 1)), rng, size=size)
-    np.sqrt(radius, out=radius)
-    np.minimum(radius, RADIUS_CAP, out=radius)
-    # Built in place in gamma's own parts: complex temporaries of shape
-    # (count, n-1) would set the process's peak memory at n in the thousands.
     gamma = np.empty(size, dtype=complex)
-    chunk = np.empty((min(ARG_CHUNK, count), n - 1))
-    for lo in range(0, count, ARG_CHUNK):
-        t = chunk[: min(ARG_CHUNK, count - lo)]
-        g, r = gamma[lo : lo + len(t)], radius[lo : lo + len(t)]
+    radius_sq = gamma.view(float).reshape(-1)[count * (n - 1) :].reshape(size)
+    beta_1s_sample(0.5 * beta * (n - 1.0 - np.arange(n - 1)), rng, out=radius_sq)
+    rows = max(1, min(count, TILE_BYTES // (8 * max(n - 1, 1))))
+    buffers = [np.empty((rows, n - 1)) for _ in range(4)]
+    for lo in range(0, count, rows):
+        g = gamma[lo : lo + rows]
+        r, t, sq, re = (buf[: len(g)] for buf in buffers)
+        np.sqrt(radius_sq[lo : lo + len(g)], out=r)
+        np.minimum(r, RADIUS_CAP, out=r)
         rng.generator.random(out=t)
         t *= math.pi
         np.tan(t, out=t)
-        np.multiply(t, t, out=g.imag)
-        np.subtract(1.0, g.imag, out=g.real)
-        g.imag += 1.0
-        r /= g.imag
-        g.real *= r
+        np.multiply(t, t, out=sq)
+        np.subtract(1.0, sq, out=re)
+        sq += 1.0
+        r /= sq
+        np.multiply(re, r, out=g.real)
         t *= 2.0
         np.multiply(t, r, out=g.imag)
     eta = TWO_PI * rng.generator.random(count)
@@ -103,12 +109,6 @@ def sample_verblunsky(beta: float, n: int, rng: RngStream) -> VerblunskyDraw:
     one-draw case of the block sampler, with the same draw order."""
     gamma, eta = _sample_verblunsky_block(beta, n, 1, rng)
     return VerblunskyDraw(gamma=gamma[0], eta=float(eta[0]))
-
-
-# Bytes of each float64 coefficient tile in _final_phases. A tile holds a
-# few steps of the block, step-major, and stays below glibc's 128 KiB mmap
-# threshold, so that forming it takes no fresh pages.
-TILE_BYTES = 112 * 1024
 
 
 def _chart_start(psi0: np.ndarray):
@@ -126,25 +126,35 @@ def _chart_rotation(thetas: np.ndarray):
     return m, np.tan(0.5 * thetas - math.pi * m)
 
 
-def _chart_steps(gamma, tau, t, turns, careful: bool):
-    """Run the chart recursion of _final_phases over the columns of gamma,
-    updating the (K, C) chart values t and sheet crossings turns in place.
+def _chart_steps(gamma, tau, t0, careful: bool):
+    """Run the chart recursion of _final_phases over the columns of gamma
+    from the start values t0 (K,), with rotations tau (K,): the (K, C) final
+    chart values t and sheet crossings turns.
 
     careful: also carry a t of +-inf (a phase on a sheet boundary) through
     the rotation, to its limit -1/tau, or unchanged where tau = 0. The plain
     step sends it to NaN.
+
+    A step crosses at most one sheet, so the crossings are counted in bytes
+    and added into turns every 255 steps, before a byte can wrap.
     """
     n_draws, depth = gamma.shape
+    shape = (t0.size, n_draws)
     tile = max(1, TILE_BYTES // (8 * max(n_draws, 1)))
     # the coefficient tiles, and tau tiled to (K, C): a same-shape multiply
     # is faster than one that broadcasts a (K, 1) column
     tiles = [np.empty((tile, n_draws)) for _ in range(4)]
-    tau = np.broadcast_to(tau, t.shape).copy()
+    t = np.broadcast_to(t0[:, None], shape).copy()
+    tau = np.broadcast_to(tau[:, None], shape).copy()
     neg_tau = -tau
-    w = np.empty_like(t)
-    cross = np.empty(t.shape, dtype=bool)
+    w = np.empty(shape)
+    cross = np.empty(shape, dtype=bool)
+    cross_bytes = cross.view(np.uint8)
+    crossed = np.zeros(shape, dtype=np.uint8)
+    turns = np.zeros(shape, dtype=np.int32)
+    flush = np.iinfo(np.uint8).max
     if careful:
-        edge = np.empty(t.shape, dtype=bool)
+        edge = np.empty(shape, dtype=bool)
         still = tau == 0.0
         limit = -1.0 / tau
     for start in range(0, depth, tile):
@@ -175,9 +185,14 @@ def _chart_steps(gamma, tau, t, turns, careful: bool):
             np.subtract(neg_tau, t, out=t)
             t /= w
             np.greater_equal(w, 0.0, out=cross)
-            turns += cross
+            crossed += cross_bytes
+            if (start + j + 1) % flush == 0:
+                turns += crossed
+                crossed.fill(0)
             if careful:
                 np.copyto(t, limit, where=edge)
+    turns += crossed
+    return t, turns
 
 
 def _final_phases(gamma: np.ndarray, thetas: np.ndarray, a: float = 0.0) -> np.ndarray:
@@ -202,9 +217,10 @@ def _final_phases(gamma: np.ndarray, thetas: np.ndarray, a: float = 0.0) -> np.n
     Each step is eight real (K, C) passes with one division, and alpha and
     delta are formed in step-major tiles of TILE_BYTES each. The start is
     (k0, t0) of theta + a, and psi_J = 2*pi*(k0 + J*m + k) + pi + 2*arctan(t).
-    A t of +-inf entering a rotation becomes NaN, so the draws where that
-    happened (a phase exactly on a sheet boundary) are run again with the
-    careful step of _chart_steps.
+    A t of +-inf entering a rotation becomes NaN. So a level whose start
+    theta + a lies on a sheet boundary (t0 = -inf) runs with the careful
+    step of _chart_steps, and in the other levels the draws that came out
+    NaN (a phase that met a boundary on the way) are run again with it.
     """
     gamma = np.atleast_2d(gamma)
     thetas = np.atleast_1d(np.asarray(thetas, dtype=float))
@@ -213,17 +229,20 @@ def _final_phases(gamma: np.ndarray, thetas: np.ndarray, a: float = 0.0) -> np.n
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         k0, t0 = _chart_start(thetas + a)
         m, tau = _chart_rotation(thetas)
-        tau = tau[:, None]
-        t = np.broadcast_to(t0[:, None], shape).copy()
-        turns = np.zeros(shape, dtype=np.int32)
-        _chart_steps(gamma, tau, t, turns, careful=False)
-        lost = np.isnan(t).any(axis=0)
-        if lost.any():
-            redo = np.broadcast_to(t0[:, None], (thetas.size, np.count_nonzero(lost))).copy()
-            redo_turns = np.zeros(redo.shape, dtype=np.int32)
-            _chart_steps(gamma[lost], tau, redo, redo_turns, careful=True)
-            t[:, lost], turns[:, lost] = redo, redo_turns
-    sheets = np.sign(tau) * turns + (k0 + depth * m)[:, None]
+        t, turns = np.empty(shape), np.empty(shape, dtype=np.int32)
+        edge = np.isinf(t0)
+        if edge.any():
+            t[edge], turns[edge] = _chart_steps(gamma, tau[edge], t0[edge], careful=True)
+        plain = ~edge
+        if plain.any():
+            tp, turns_p = _chart_steps(gamma, tau[plain], t0[plain], careful=False)
+            lost = np.isnan(tp).any(axis=0)
+            if lost.any():
+                tp[:, lost], turns_p[:, lost] = _chart_steps(
+                    gamma[lost], tau[plain], t0[plain], careful=True
+                )
+            t[plain], turns[plain] = tp, turns_p
+    sheets = np.sign(tau)[:, None] * turns + (k0 + depth * m)[:, None]
     return (TWO_PI * sheets + (math.pi + 2.0 * np.arctan(t))).T
 
 

@@ -7,8 +7,10 @@ import importlib.util
 import json
 import math
 import os
+import re
 import sys
 import time
+from pathlib import Path
 
 import numpy as np
 
@@ -74,6 +76,32 @@ def _scipy_version() -> str:
     return module.version
 
 
+def _git_revision(root: Path) -> str:
+    """The commit checked out at root, read from the files under root/.git
+    without running git: HEAD, then the loose or packed ref it names. A
+    linked worktree's .git file names its git directory, whose commondir
+    holds the refs. "unavailable" where root is no checkout, such as an
+    installed package or an exported tree."""
+    try:
+        git = root / ".git"
+        if git.is_file():
+            git = root / git.read_text().removeprefix("gitdir:").strip()
+        common = git
+        if (git / "commondir").is_file():
+            common = git / (git / "commondir").read_text().strip()
+        head = (git / "HEAD").read_text().strip()
+        if head.startswith("ref:"):
+            ref = head.removeprefix("ref:").strip()
+            if (common / ref).is_file():
+                head = (common / ref).read_text().strip()
+            else:
+                packed = (common / "packed-refs").read_text().splitlines()
+                head = next((line.split()[0] for line in packed if line.endswith(" " + ref)), "")
+    except OSError:
+        return "unavailable"
+    return head if re.fullmatch(r"[0-9a-f]{40}|[0-9a-f]{64}", head) else "unavailable"
+
+
 def _emit_table(header: str, rows, args, extra_manifest=None) -> None:
     """Write rows of typed values as CSV (cells formatted by _fmt) or as JSON
     objects whose numbers stay numbers."""
@@ -98,6 +126,7 @@ def _emit_table(header: str, rows, args, extra_manifest=None) -> None:
             "master_seed": getattr(args, "seed", None),
             "stream_contract": STREAM_CONTRACT,
             "version": __version__,
+            "git_revision": _git_revision(Path(__file__).resolve().parents[2]),
             "duration_s": time.time() - args.start_time,
             "output": path,
             "environment": {

@@ -71,12 +71,19 @@ def chi_sample(u, rng: RngStream, size=None, out=None):
     return np.sqrt(chi, out=chi)
 
 
-def beta_1s_sample(s, rng: RngStream, size=None):
-    """Draw from Beta(1, s) by inverse CDF: x = 1 - U^(1/s)."""
+def beta_1s_sample(s, rng: RngStream, size=None, out=None):
+    """Draw from Beta(1, s) by inverse CDF: x = 1 - U^(1/s).
+
+    With `out`, a C-contiguous float array that s broadcasts to, the draws
+    fill it in place; they are the values a call with size=out.shape draws.
+    """
     s = np.asarray(s, dtype=float)
     if np.any(s <= 0):
         raise ValueError("beta parameter s must be positive")
-    u = rng.generator.random(size if size is not None else s.shape or None)
+    if out is not None:
+        u = rng.generator.random(out=out)
+    else:
+        u = rng.generator.random(size if size is not None else s.shape or None)
     if np.ndim(u) == 0:
         return 1.0 - u ** (1.0 / s)
     # in place: two (count, n-1) temporaries of a block draw left the peak

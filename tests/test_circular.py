@@ -7,8 +7,8 @@ from hypothesis import given, settings, strategies as st
 from scipy.stats import kstest
 
 from betafluct.circular import (
-    ARG_CHUNK,
     RADIUS_CAP,
+    TILE_BYTES,
     VerblunskyDraw,
     sample_verblunsky,
     prufer_evaluate,
@@ -111,11 +111,24 @@ def test_block_matches_cos_sin_construction(beta, n):
     assert np.array_equal(eta, TWO_PI * gen.random(count))
 
 
-@pytest.mark.parametrize("count", (1, 127, 128, 129, 300))
-@pytest.mark.parametrize("n", (1, 2, 64))
-def test_block_sampler_draws_arguments_in_chunks_as_one_draw(count, n):
-    # the arguments drawn ARG_CHUNK rows at a time give gamma bit for bit as
-    # one (count, n-1) draw does, and eta follows them in the stream
+# Rows per chunk of the block sampler at n = 64: TILE_BYTES // (8 * 63).
+CHUNK_ROWS_64 = 227
+
+
+@pytest.mark.parametrize(
+    "n, count",
+    [(n, c) for n in (1, 2, 64) for c in (1, 127, 128, 129, 300)]
+    + [(64, c) for c in (226, 227, 228, 500)]
+    # at n = 3000 a chunk is 4 rows, and a chunk's gamma rows overlap its own
+    # radius rows in gamma's buffer: all of them for C <= 3, the last one
+    # at C = 5
+    + [(3000, c) for c in (1, 2, 3, 5)],
+)
+def test_block_sampler_draws_arguments_in_chunks_as_one_draw(n, count):
+    # replay the stream by hand: one (count, n-1) radius draw, then the
+    # arguments as one (count, n-1) draw, then eta. The sampler's chunks of
+    # rows, built over the radii in gamma's own buffer, give gamma bit for bit.
+    assert TILE_BYTES // (8 * 63) == CHUNK_ROWS_64
     gamma, eta = _sample_verblunsky_block(1.5, n, count, RngStream(85, 3))
     rng = RngStream(85, 3)
     s = 0.5 * 1.5 * (n - 1.0 - np.arange(n - 1))
@@ -127,21 +140,21 @@ def test_block_sampler_draws_arguments_in_chunks_as_one_draw(count, n):
     expected.imag = 2.0 * t * (radius / expected.imag)
     assert np.array_equal(gamma.view(float), expected.view(float))
     assert np.array_equal(eta, TWO_PI * rng.generator.random(count))
-    assert ARG_CHUNK == 128
 
 
 def test_block_sampler_peak_memory():
-    # cbe-regularity's block, (C, n) = (1024, 3000): the sampler holds the
-    # radii and gamma, three (C, n-1) floats of 24.6 MB each, and no fourth
-    # one for the argument draws. Its peak reads 3.16 such arrays (with one
-    # chunk of ARG_CHUNK rows), and 4.03 with a whole argument array.
+    # cbe-regularity's block, (C, n) = (1024, 3000): the sampler holds gamma,
+    # two (C, n-1) floats of 24.6 MB each, with the radii drawn into its back
+    # half, and chunk buffers of TILE_BYTES each. Its peak reads 2.05 such
+    # arrays; a separate radius array made it 3.16, and a whole argument
+    # array on top of that 4.03.
     tracemalloc.start()
     try:
         _sample_verblunsky_block(2.0, 3000, 1024, RngStream(86, 0))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 3.5 * 1024 * 2999 * 8, peak
+    assert peak < 2.1 * 1024 * 2999 * 8, peak
 
 
 class _StubGenerator:
@@ -477,12 +490,13 @@ def _lattice_phases(depth, thetas, a):
     return psi, np.floor((psi - 0.25) / TWO_PI) - math.floor(-0.25 / TWO_PI)
 
 
-@pytest.mark.parametrize("depth", (1, 9, 40))
+@pytest.mark.parametrize("depth", (1, 9, 40, 600))
 def test_final_phases_zero_coefficients_on_every_sheet(depth):
     # gamma = 0 gives alpha = 1 and delta = 0, so only the rotation acts:
     # theta = 0 (tau = 0), theta in [2 pi, 4 pi) (whole sheets m), and
     # theta = 30, where theta/2 - 4 pi = 2.43 > pi/2 reduces to a negative
-    # tau; without sign(tau) the phase at n = 10 is off by about 50 rad
+    # tau; without sign(tau) the phase at n = 10 is off by about 50 rad. At
+    # depth 600, theta = 3.0 and 3.2 cross more sheets than a byte counts.
     thetas = np.array([0.0, 0.3, 3.0, 3.2, TWO_PI, 7.0, 30.0, 2.0 * TWO_PI + 0.1])
     gamma = np.zeros((3, depth), dtype=complex)
     for a in (0.0, 0.2, 1.0, 5.9):
@@ -491,6 +505,43 @@ def test_final_phases_zero_coefficients_on_every_sheet(depth):
         assert np.max(np.abs(got - psi)) < 1e-12 * (1.0 + np.max(psi)), a
         got_counts = np.floor((got - 0.25) / TWO_PI) - math.floor(-0.25 / TWO_PI)
         assert np.array_equal(got_counts, np.broadcast_to(counts, got.shape)), a
+
+
+def test_final_phases_count_more_crossings_than_a_byte_holds():
+    # with theta near pi a draw crosses a sheet about every other step, so
+    # at depth 600 it crosses 285-301 times: the byte counter must be added
+    # into turns on the way
+    thetas = np.array([math.pi - 0.01, math.pi + 0.01, 3.0])
+    gamma, _ = _stack_draws(2.0, 601, 52, range(16))
+    psi = _final_phases(gamma, thetas, 0.2)
+    assert np.min(psi) > 285 * TWO_PI
+    assert np.max(np.abs(psi - _phases_per_step(gamma, thetas, 0.2))) < 1e-9
+    # g = 0.8 - 0.4i gives alpha = 1 and delta = 4, so t + 4 >= 1/tau and
+    # every one of the 600 steps crosses: a counter that held 256 steps of
+    # crossings would wrap to 0 and lose 256 sheets
+    gamma = np.full((2, 600), 0.8 - 0.4j)
+    psi = _final_phases(gamma, thetas, 0.2)
+    assert np.all(np.floor(psi[:, [0, 2]] / TWO_PI) == 600)
+    assert np.max(np.abs(psi - _phases_per_step(gamma, thetas, 0.2))) < 1e-9
+
+
+@pytest.mark.parametrize("a", (0.0, 0.2))
+def test_final_phases_levels_on_a_sheet_boundary(a):
+    # theta + a = 0 or 2 pi starts on a sheet boundary (t0 = -inf): that level
+    # takes the careful step, and every level of the grid gives the phases
+    # of a call for that level alone, bit for bit
+    gamma, _ = _stack_draws(2.0, 64, 53, range(40))
+    thetas = np.array([0.0, 0.01, TWO_PI - a, 0.5, 3.0])
+    with np.errstate(divide="ignore"):
+        on_edge = np.isinf(_chart_start(thetas + a)[1])
+    assert on_edge[2] and on_edge[0] == (a == 0.0)
+    got = _final_phases(gamma, thetas, a)
+    assert np.all(np.isfinite(got))
+    for k, theta in enumerate(thetas):
+        assert np.array_equal(got[:, k], _final_phases(gamma, np.array([theta]), a)[:, 0]), k
+    if a == 0.0:
+        # u = 1 is fixed by every step at theta = 0
+        assert np.all(got[:, 0] == 0.0)
 
 
 def _boundary_case(theta, landing):

@@ -86,9 +86,11 @@ def test_out_draws_equal_size_draws():
     u = np.array([0.4, 1.0, 3.3, 9.0])
     normal = gaussian_sample(0.0, 1.5, RngStream(8, 1), size=(7, 4))
     chi = chi_sample(u, RngStream(8, 2), size=(7, 4))
+    beta = beta_1s_sample(u, RngStream(8, 3), size=(7, 4))
     for sample, args, seed, expected in (
         (gaussian_sample, (0.0, 1.5), 1, normal),
         (chi_sample, (u,), 2, chi),
+        (beta_1s_sample, (u,), 3, beta),
     ):
         rng, out = RngStream(8, seed), np.empty((7, 4))
         for lo, hi in ((0, 3), (3, 4), (4, 7)):
