@@ -217,31 +217,20 @@ def _final_phases(gamma: np.ndarray, thetas: np.ndarray, a: float = 0.0) -> np.n
     Each step is eight real (K, C) passes with one division, and alpha and
     delta are formed in step-major tiles of TILE_BYTES each. The start is
     (k0, t0) of theta + a, and psi_J = 2*pi*(k0 + J*m + k) + pi + 2*arctan(t).
-    A t of +-inf entering a rotation becomes NaN. So a level whose start
-    theta + a lies on a sheet boundary (t0 = -inf) runs with the careful
-    step of _chart_steps, and in the other levels the draws that came out
-    NaN (a phase that met a boundary on the way) are run again with it.
+    A t of +-inf entering a rotation becomes NaN, so the draws where that
+    happened (a phase exactly on a sheet boundary) are run again with the
+    careful step of _chart_steps.
     """
     gamma = np.atleast_2d(gamma)
     thetas = np.atleast_1d(np.asarray(thetas, dtype=float))
     depth = gamma.shape[1]
-    shape = (thetas.size, gamma.shape[0])
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         k0, t0 = _chart_start(thetas + a)
         m, tau = _chart_rotation(thetas)
-        t, turns = np.empty(shape), np.empty(shape, dtype=np.int32)
-        edge = np.isinf(t0)
-        if edge.any():
-            t[edge], turns[edge] = _chart_steps(gamma, tau[edge], t0[edge], careful=True)
-        plain = ~edge
-        if plain.any():
-            tp, turns_p = _chart_steps(gamma, tau[plain], t0[plain], careful=False)
-            lost = np.isnan(tp).any(axis=0)
-            if lost.any():
-                tp[:, lost], turns_p[:, lost] = _chart_steps(
-                    gamma[lost], tau[plain], t0[plain], careful=True
-                )
-            t[plain], turns[plain] = tp, turns_p
+        t, turns = _chart_steps(gamma, tau, t0, careful=False)
+        lost = np.isnan(t).any(axis=0)
+        if lost.any():
+            t[:, lost], turns[:, lost] = _chart_steps(gamma[lost], tau, t0, careful=True)
     sheets = np.sign(tau)[:, None] * turns + (k0 + depth * m)[:, None]
     return (TWO_PI * sheets + (math.pi + 2.0 * np.arctan(t))).T
 

@@ -76,12 +76,18 @@ def _scipy_version() -> str:
     return module.version
 
 
-def _git_revision(root: Path) -> str:
-    """The commit checked out at root, read from the files under root/.git
-    without running git: HEAD, then the loose or packed ref it names. A
-    linked worktree's .git file names its git directory, whose commondir
-    holds the refs. "unavailable" where root is no checkout, such as an
-    installed package or an exported tree."""
+def _git_revision(module: Path) -> str:
+    """The commit checked out in the source tree that holds module, a file of
+    this package at <root>/src/betafluct/, read from the files under
+    root/.git without running git: HEAD, then the loose or packed ref it
+    names. A linked worktree's .git file names its git directory, whose
+    commondir holds the refs. "unavailable" where module lies outside that
+    layout (an installed package, which may sit inside another project's
+    checkout) or root is no checkout, such as an exported tree."""
+    package = module.resolve().parent
+    if package.name != "betafluct" or package.parent.name != "src":
+        return "unavailable"
+    root = package.parent.parent
     try:
         git = root / ".git"
         if git.is_file():
@@ -126,7 +132,7 @@ def _emit_table(header: str, rows, args, extra_manifest=None) -> None:
             "master_seed": getattr(args, "seed", None),
             "stream_contract": STREAM_CONTRACT,
             "version": __version__,
-            "git_revision": _git_revision(Path(__file__).resolve().parents[2]),
+            "git_revision": _git_revision(Path(__file__)),
             "duration_s": time.time() - args.start_time,
             "output": path,
             "environment": {

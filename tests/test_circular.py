@@ -146,8 +146,8 @@ def test_block_sampler_peak_memory():
     # cbe-regularity's block, (C, n) = (1024, 3000): the sampler holds gamma,
     # two (C, n-1) floats of 24.6 MB each, with the radii drawn into its back
     # half, and chunk buffers of TILE_BYTES each. Its peak reads 2.05 such
-    # arrays; a separate radius array made it 3.16, and a whole argument
-    # array on top of that 4.03.
+    # arrays: rows [lo, hi) of gamma end at float 2*hi*(n-1) <= (C+hi)*(n-1),
+    # so the radii need no array of their own.
     tracemalloc.start()
     try:
         _sample_verblunsky_block(2.0, 3000, 1024, RngStream(86, 0))

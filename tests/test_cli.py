@@ -139,7 +139,7 @@ def test_manifest_records_the_git_revision(tmp_path):
     assert main(["oracle-cue", "--n", "4", "--grid", "0:1:2", "--out", out]) == 0
     manifest = json.loads(Path(out + ".manifest.json").read_text())
     root = Path(cli.__file__).resolve().parents[2]
-    assert manifest["git_revision"] == _git_revision(root)
+    assert manifest["git_revision"] == _git_revision(Path(cli.__file__))
     # against git itself, where this is a checkout that git will read
     git = subprocess.run(["git", "-C", str(root), "rev-parse", "HEAD"], capture_output=True,
                          text=True, check=False) if (root / ".git").exists() else None
@@ -150,16 +150,17 @@ def test_manifest_records_the_git_revision(tmp_path):
 def test_git_revision_read_from_git_files(tmp_path):
     sha = [c * 40 for c in "abc"]
     git = tmp_path / "repo" / ".git"
+    module = git.parent / "src" / "betafluct" / "cli.py"
     (git / "refs" / "heads").mkdir(parents=True)
     (git / "HEAD").write_text("ref: refs/heads/main\n")
     (git / "refs" / "heads" / "main").write_text(sha[0] + "\n")
-    assert _git_revision(git.parent) == sha[0]
+    assert _git_revision(module) == sha[0]
     # a packed ref, once the loose one is gone
     (git / "refs" / "heads" / "main").unlink()
     (git / "packed-refs").write_text(
         f"# pack-refs with: peeled fully-peeled sorted\n{sha[2]} refs/heads/dev\n"
         f"{sha[1]} refs/heads/main\n")
-    assert _git_revision(git.parent) == sha[1]
+    assert _git_revision(module) == sha[1]
     # a linked worktree: its HEAD in its own git directory, refs in the common one
     linked = git / "worktrees" / "wt"
     linked.mkdir(parents=True)
@@ -167,16 +168,19 @@ def test_git_revision_read_from_git_files(tmp_path):
     (linked / "commondir").write_text("../..\n")
     (tmp_path / "wt").mkdir()
     (tmp_path / "wt" / ".git").write_text(f"gitdir: {linked}\n")
-    assert _git_revision(tmp_path / "wt") == sha[2]
+    assert _git_revision(tmp_path / "wt" / "src" / "betafluct" / "cli.py") == sha[2]
     # a detached HEAD holds the commit itself
     (git / "HEAD").write_text(sha[2] + "\n")
-    assert _git_revision(git.parent) == sha[2]
+    assert _git_revision(module) == sha[2]
+    # installed flat into another project's checkout: that project's HEAD is not ours
+    assert _git_revision(git.parent / "vendor" / "betafluct" / "cli.py") == "unavailable"
+    assert _git_revision(git.parent / "src" / "other" / "cli.py") == "unavailable"
     # no checkout, an unborn branch, a HEAD that is not a commit
-    assert _git_revision(tmp_path) == "unavailable"
+    assert _git_revision(tmp_path / "src" / "betafluct" / "cli.py") == "unavailable"
     (git / "HEAD").write_text("ref: refs/heads/none\n")
-    assert _git_revision(git.parent) == "unavailable"
+    assert _git_revision(module) == "unavailable"
     (git / "HEAD").write_text("garbage\n")
-    assert _git_revision(git.parent) == "unavailable"
+    assert _git_revision(module) == "unavailable"
 
 
 def test_tail_check_stdout_is_only_the_table(capsys):
