@@ -82,7 +82,7 @@ def _sample_verblunsky_block(beta: float, n: int, count: int, rng: RngStream):
     size = (count, n - 1)
     gamma = np.empty(size, dtype=complex)
     radius_sq = gamma.view(float).reshape(-1)[count * (n - 1) :].reshape(size)
-    beta_1s_sample(0.5 * beta * (n - 1.0 - np.arange(n - 1)), rng, out=radius_sq)
+    beta_1s_sample(0.5 * beta * (n - 1.0 - np.arange(n - 1)), rng, radius_sq)
     rows = max(1, min(count, TILE_BYTES // (8 * max(n - 1, 1))))
     buffers = [np.empty((rows, n - 1)) for _ in range(4)]
     for lo in range(0, count, rows):
@@ -221,8 +221,6 @@ def _final_phases(gamma: np.ndarray, thetas: np.ndarray, a: float = 0.0) -> np.n
     happened (a phase exactly on a sheet boundary) are run again with the
     careful step of _chart_steps.
     """
-    gamma = np.atleast_2d(gamma)
-    thetas = np.atleast_1d(np.asarray(thetas, dtype=float))
     depth = gamma.shape[1]
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         k0, t0 = _chart_start(thetas + a)

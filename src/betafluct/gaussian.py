@@ -74,13 +74,9 @@ def _draw_step_major(draw, count: int, width: int) -> np.ndarray:
 
     draw is called on consecutive chunks of DRAW_CHUNK rows of a reused
     buffer, so it must fill its argument in order, as NumPy's `out=`
-    samplers do. A single row is contiguous in both layouts and is drawn in
-    place.
+    samplers do.
     """
     block = np.empty((width, count)).T
-    if count == 1:
-        draw(block)
-        return block
     chunk = np.empty((min(DRAW_CHUNK, count), width))
     for lo in range(0, count, DRAW_CHUNK):
         rows = chunk[: min(DRAW_CHUNK, count - lo)]
@@ -107,10 +103,10 @@ def _sample_tridiagonal_block(beta: float, n: int, count: int, rng: RngStream):
     dof = beta * (n - np.arange(1, n, dtype=float))
 
     def chi(out):
-        chi_sample(dof, rng, out=out)
+        chi_sample(dof, rng, out)
         out /= scale
 
-    diag = _draw_step_major(lambda out: gaussian_sample(0.0, sd, rng, out=out), count, n)
+    diag = _draw_step_major(lambda out: gaussian_sample(sd, rng, out), count, n)
     return diag, _draw_step_major(chi, count, n - 1)
 
 

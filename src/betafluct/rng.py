@@ -36,60 +36,40 @@ class RngStream:
         self.generator = np.random.default_rng(seq)
 
 
-def gaussian_sample(mean, sd, rng: RngStream, size=None, out=None):
-    """Draw from N(mean, sd^2); sd = 0 returns mean exactly.
-
-    With `out`, a C-contiguous float array, the draws fill it in place. They
-    are the values normal(mean, sd) would draw, which computes each as
-    mean + sd * standard_normal.
-    """
+# Each sampler fills its `out`, a C-contiguous float array that its parameter
+# broadcasts to, in place and returns it.
+def gaussian_sample(sd, rng: RngStream, out: np.ndarray) -> np.ndarray:
+    """N(0, sd^2) draws, each sd * standard_normal; sd = 0 fills zeros."""
     if np.any(np.asarray(sd) < 0):
         raise ValueError("standard deviation must be non-negative")
-    if out is None:
-        return rng.generator.normal(mean, sd, size)
     rng.generator.standard_normal(out=out)
     out *= sd
-    out += mean
     return out
 
 
-def chi_sample(u, rng: RngStream, size=None, out=None):
-    """Draw a chi variable with u > 0 (possibly non-integer) degrees of freedom.
-
-    Uses the identity chi_u = sqrt(2 * Gamma(u/2)); the gamma sampler handles
-    every real shape, including shape < 1. With `out`, a C-contiguous float
-    array that u broadcasts to, the draws fill it in place.
-    """
+def chi_sample(u, rng: RngStream, out: np.ndarray) -> np.ndarray:
+    """Chi draws with u > 0 (possibly non-integer) degrees of freedom, by the
+    identity chi_u = sqrt(2 * Gamma(u/2)); the gamma sampler handles every
+    real shape, including shape < 1."""
     u = np.asarray(u, dtype=float)
     if np.any(u <= 0):
         raise ValueError("chi degrees of freedom must be positive")
-    chi = rng.generator.standard_gamma(u / 2.0, size=size, out=out)
-    if np.ndim(chi) == 0:
-        return np.sqrt(2.0 * chi)
+    rng.generator.standard_gamma(u / 2.0, out=out)
     # in place: a second (count, n-1) array would raise a block's peak memory
-    chi *= 2.0
-    return np.sqrt(chi, out=chi)
+    out *= 2.0
+    return np.sqrt(out, out=out)
 
 
-def beta_1s_sample(s, rng: RngStream, size=None, out=None):
-    """Draw from Beta(1, s) by inverse CDF: x = 1 - U^(1/s).
-
-    With `out`, a C-contiguous float array that s broadcasts to, the draws
-    fill it in place; they are the values a call with size=out.shape draws.
-    """
+def beta_1s_sample(s, rng: RngStream, out: np.ndarray) -> np.ndarray:
+    """Beta(1, s) draws by inverse CDF: x = 1 - U^(1/s)."""
     s = np.asarray(s, dtype=float)
     if np.any(s <= 0):
         raise ValueError("beta parameter s must be positive")
-    if out is not None:
-        u = rng.generator.random(out=out)
-    else:
-        u = rng.generator.random(size if size is not None else s.shape or None)
-    if np.ndim(u) == 0:
-        return 1.0 - u ** (1.0 / s)
+    rng.generator.random(out=out)
     # in place: two (count, n-1) temporaries of a block draw left the peak
     # memory of a run to where the allocator happened to put them
-    u **= 1.0 / s
-    return np.subtract(1.0, u, out=u)
+    out **= 1.0 / s
+    return np.subtract(1.0, out, out=out)
 
 
 def replica_blocks(m: int, base: int = 0) -> list[range]:

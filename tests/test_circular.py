@@ -4,7 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-from scipy.stats import kstest
+from scipy.stats import chi2_contingency, kstest, unitary_group
 
 from betafluct.circular import (
     RADIUS_CAP,
@@ -132,7 +132,7 @@ def test_block_sampler_draws_arguments_in_chunks_as_one_draw(n, count):
     gamma, eta = _sample_verblunsky_block(1.5, n, count, RngStream(85, 3))
     rng = RngStream(85, 3)
     s = 0.5 * 1.5 * (n - 1.0 - np.arange(n - 1))
-    radius = np.minimum(np.sqrt(beta_1s_sample(s, rng, size=(count, n - 1))), RADIUS_CAP)
+    radius = np.minimum(np.sqrt(beta_1s_sample(s, rng, np.empty((count, n - 1)))), RADIUS_CAP)
     t = np.tan(math.pi * rng.generator.random((count, n - 1)))
     expected = np.empty((count, n - 1), dtype=complex)
     expected.imag = 1.0 + t * t
@@ -395,6 +395,34 @@ def test_count_arcs_match_cmv_eigenvalues():
                     assert count == np.count_nonzero((angles > 0.0) & (angles <= x / n)), (beta, n, d, x)
     assert checked + skipped == 4 * 6 * draws * per_draw
     assert skipped <= 0.001 * checked
+
+
+def _pooled_tails(a, b, least=10):
+    """Value tables (2, V) of two count samples, with the values at either
+    end pooled until each end column holds at least `least` counts."""
+    lo, hi = min(a.min(), b.min()), max(a.max(), b.max())
+    table = np.stack([np.bincount(c - lo, minlength=hi - lo + 1) for c in (a, b)])
+    column = table.sum(axis=0)
+    first = np.searchsorted(np.cumsum(column), least)
+    last = len(column) - 1 - np.searchsorted(np.cumsum(column[::-1]), least)
+    return np.column_stack(
+        [table[:, : first + 1].sum(axis=1), table[:, first + 1 : last], table[:, last:].sum(axis=1)]
+    )
+
+
+def test_beta2_arc_counts_match_haar_unitaries():
+    # CUE is the beta = 2 ensemble: the arc count's whole law must match the
+    # eigenangle counts of Haar unitaries, drawn by scipy without Verblunsky
+    # coefficients (chi-square homogeneity of the two value tables, per arc)
+    n, m = 8, 20000
+    xs = np.array([2.0, 8.0, 20.0])
+    gamma, eta = _sample_verblunsky_block(2.0, n, m, RngStream(4711, 0))
+    cbe = _count_arcs_block(gamma, eta, n, xs)
+    unitaries = unitary_group.rvs(n, size=m, random_state=2718)
+    angles = np.mod(np.angle(np.linalg.eigvals(unitaries)), TWO_PI)[:, :, None]
+    haar = np.count_nonzero((angles > 0.0) & (angles <= xs / n), axis=1)
+    pvalues = [chi2_contingency(_pooled_tails(cbe[:, k], haar[:, k])).pvalue for k in range(len(xs))]
+    assert min(pvalues) > 1e-3, pvalues
 
 
 def _phases_longdouble(gamma, thetas, a):

@@ -1,5 +1,6 @@
 """Source hygiene, read from the syntax tree: every public name in the package
-has a reader, and no module imports a name it never reads."""
+has a reader, no module imports a name it never reads, and no parameter is
+constant across every call that reaches its function."""
 
 import ast
 import pathlib
@@ -87,3 +88,96 @@ def test_no_unused_imports():
                 if bound not in read:
                     unused.append(f"{path.relative_to(ROOT)}:{node.lineno}:{bound}")
     assert unused == []
+
+
+# Parameters that every call in src/ leaves at its default or sets to one
+# shared literal, with their reader; an entry whose calls start to vary is
+# stale and fails the check.
+CONSTANT_PARAMETERS = {
+    "_lift_affine.a": "the tracer's circlemap.lift binding; goes with circlemap.py",
+    "main.argv": "tests and bench/rep.py pass the command line",
+}
+
+
+def _literal(node):
+    """(value,) of a literal argument or default, None for anything else."""
+    try:
+        return (ast.literal_eval(node),)
+    except (ValueError, TypeError):
+        return None
+
+
+def _definitions(tree):
+    """(name, def, bound) for every def in a module, methods under their own
+    name and a class's __init__ also under the class name; bound marks a
+    first parameter that calls do not pass."""
+    methods = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ClassDef):
+            for sub in node.body:
+                if isinstance(sub, ast.FunctionDef):
+                    decorators = [getattr(d, "id", None) for d in sub.decorator_list]
+                    methods[sub] = "staticmethod" not in decorators
+                    if sub.name == "__init__":
+                        yield node.name, sub, True
+    for node in ast.walk(tree):
+        if isinstance(node, ast.FunctionDef):
+            yield node.name, node, methods.get(node, False)
+
+
+def _calls_and_references(trees):
+    """Calls by name, and the names read anywhere but as a call's target or
+    in an annotation (a def passed as a value has calls no check can see)."""
+    calls, skip, references = {}, set(), set()
+    nodes = [node for tree in trees for node in ast.walk(tree)]
+    for node in nodes:
+        if isinstance(node, ast.Call) and isinstance(node.func, (ast.Name, ast.Attribute)):
+            calls.setdefault(getattr(node.func, "id", None) or node.func.attr, []).append(node)
+            skip.add(id(node.func))
+        for ann in (getattr(node, "annotation", None), getattr(node, "returns", None)):
+            if ann is not None:
+                skip.update(id(sub) for sub in ast.walk(ann))
+    for node in nodes:
+        if id(node) in skip:
+            continue
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            references.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            references.add(node.attr)
+    return calls, references
+
+
+def _constant_parameters(fn, bound, calls):
+    """Parameters of fn that every call leaves at its default or sets to one
+    shared literal; none when a call unpacks its arguments."""
+    args = fn.args
+    positional = [p.arg for p in args.posonlyargs + args.args]
+    defaults = dict(zip(positional[::-1], args.defaults[::-1]))
+    defaults.update((p.arg, d) for p, d in zip(args.kwonlyargs, args.kw_defaults) if d is not None)
+    positional = positional[1:] if bound else positional
+    values = {p: set() for p in positional + [p.arg for p in args.kwonlyargs]}
+    for call in calls:
+        if any(isinstance(a, ast.Starred) for a in call.args) or any(k.arg is None for k in call.keywords):
+            return []
+        given = dict(zip(positional, call.args), **{k.arg: k.value for k in call.keywords})
+        for p, seen in values.items():
+            node = given.get(p, defaults.get(p))
+            seen.add(None if node is None else _literal(node))
+    return [p for p, seen in values.items() if len(seen) == 1 and None not in seen]
+
+
+def test_no_parameter_is_constant_across_its_calls():
+    # for every def that calls in src/ reach by name: no parameter that every
+    # such call leaves at its default or sets to one literal
+    trees = _trees(PACKAGE).values()
+    calls, references = _calls_and_references(trees)
+    constant = sorted(
+        f"{name}.{p}"
+        for tree in trees
+        for name, fn, bound in _definitions(tree)
+        if name in calls and name not in references
+        for p in _constant_parameters(fn, bound, calls[name])
+    )
+    unexpected = [p for p in constant if p not in CONSTANT_PARAMETERS]
+    assert not unexpected, f"constant across every call in src/: {unexpected}"
+    assert set(CONSTANT_PARAMETERS) <= set(constant), "stale CONSTANT_PARAMETERS entry"

@@ -119,6 +119,59 @@ def test_scan_cbe_variance_matches_oracle():
         assert abs(row.mean - row.ref_mean) < 0.02
 
 
+def _form_factor(beta, n, k):
+    """K_beta(n, k) = E|tr U^k|^2 of the n-point CbetaE at beta in {1, 2, 4}:
+    the finite-n COE and CSE form factors (Haake, Quantum Signatures of
+    Chaos; Mehta, Random Matrices), and min(k, n) at beta = 2."""
+    k = np.asarray(k, dtype=float)
+    if beta == 2.0:
+        return np.minimum(k, n)
+    m = np.arange(1, 2 * n + 1, dtype=float)
+    if beta == 4.0:
+        head = np.cumsum(1.0 / (n + 0.5 - m))[np.minimum(k, 2 * n).astype(int) - 1]
+        return np.where(k <= 2 * n, 0.5 * k + 0.25 * k * head, n)
+    low = np.cumsum(1.0 / (m[:n] + 0.5 * (n - 1)))[np.minimum(k, n).astype(int) - 1]
+    high = np.sum(1.0 / (m[:n] + k[:, None] - 0.5 * (n + 1)), axis=1)
+    return np.where(k <= n, 2.0 * k - k * low, 2.0 * n - k * high)
+
+
+def _cbe_variance(beta, n, arc_length):
+    """Var N(arc) = (2/pi^2) sum_k K_beta(n, k) sin^2(kL/2)/k^2, written as
+    cue_variance_oracle's closed-form n-term plus the head sum of K - n, which
+    is 0 from k = 2n on at beta = 4 and decays like n^3/k^2 at beta = 1."""
+    x = 0.5 * min(arc_length, TWO_PI - arc_length)
+    k = np.arange(1, 100 * n + 1, dtype=float)
+    head = np.sum((_form_factor(beta, n, k) - n) * np.sin(k * x) ** 2 / k**2)
+    return 2.0 / math.pi**2 * (head + 0.5 * n * x * (math.pi - x))
+
+
+def test_exact_variance_at_beta2_is_the_cue_oracle():
+    for arc_length in (0.1, 0.5, 2.0, 5.0):
+        assert _cbe_variance(2.0, 64, arc_length) == pytest.approx(
+            cue_variance_oracle(64, arc_length), abs=1e-13
+        )
+
+
+@pytest.mark.parametrize("beta, seed", [(1.0, 1301), (4.0, 1304)])
+def test_cbe_count_variance_matches_exact_form_factors(beta, seed):
+    # the whole sampler and Prufer count at beta = 1 and 4 against exact
+    # finite-n variances: z = (var - exact)/SE per arc, SE^2 = (mu4 - var^2)/m.
+    # Here the pooled z reads -0.84 and -0.39. A sampler run at 1.05 beta
+    # reads -9.9 (beta = 1) and -7.2 (beta = 4); the coefficient-law KS
+    # tests do not see that defect.
+    n, m = 64, 100_000
+    xs = np.geomspace(1.0, 32.0, 6)
+    counts = np.concatenate(
+        [_count_arcs_block(*_stack_draws(beta, n, seed, block), n, xs) for block in replica_blocks(m)]
+    )
+    centered = counts - counts.mean(axis=0)
+    second, fourth = np.mean(centered**2, axis=0), np.mean(centered**4, axis=0)
+    exact = np.array([_cbe_variance(beta, n, x / n) for x in xs])
+    z = (second * m / (m - 1) - exact) / np.sqrt((fourth - second**2) / m)
+    assert np.all(np.abs(z) <= 3.5), z
+    assert abs(z.sum()) / math.sqrt(len(z)) <= 3.0, z
+
+
 def test_scan_worker_invariance():
     spec = ScanSpec("gbe", 2.0, 32, (1.0, 8.0))
     baseline = variance_scan(spec, m=2000, seed=66, workers=1)
