@@ -16,8 +16,8 @@ import numpy as np
 
 from . import __version__
 from .circular import cbe_points, sample_verblunsky, sine_beta_window
-from .gaussian import sample_tridiagonal, semicircle_residual, verify_counts
-from .rng import STREAM_CONTRACT, RngStream
+from .gaussian import _stack_own_models, semicircle_residual, verify_counts
+from .rng import STREAM_CONTRACT, RngStream, replica_blocks
 from .stats import (
     ScanSpec,
     cue_variance_oracle,
@@ -258,15 +258,12 @@ def _cmd_sample(args) -> int:
     else:
         from scipy.linalg import eigvalsh_tridiagonal
 
-        for d in range(args.samples):
-            model = sample_tridiagonal(args.beta, args.n, RngStream(args.seed, d))
-            eigs = (
-                eigvalsh_tridiagonal(model.diag, model.offdiag)
-                if args.n > 1
-                else np.asarray(model.diag)
-            )
-            for e in eigs:
-                lines.append((d, float(e)))
+        for block in replica_blocks(args.samples):
+            diag, offdiag, _ = _stack_own_models(args.beta, args.n, args.seed, block)
+            for d, row, off in zip(block, diag, offdiag):
+                eigs = eigvalsh_tridiagonal(row, off) if args.n > 1 else row
+                for e in eigs:
+                    lines.append((d, float(e)))
         header = "draw,eigenvalue"
     _emit_table(header, lines, args)
     return 0

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -38,12 +39,18 @@ class TridiagonalModel:
     def __post_init__(self):
         if len(self.diag) < 1 or len(self.offdiag) != len(self.diag) - 1:
             raise ValueError("need a non-empty diagonal and one off-diagonal entry fewer")
-        if not np.isfinite(self.diag).all():
-            raise ValueError("diag entries must be finite")
-        if not np.isfinite(self.offdiag).all():
-            raise ValueError("offdiag entries must be finite")
-        if (self.offdiag <= 0).any():
-            raise ValueError("off-diagonal entries must be positive")
+        _check_entries(self.diag, self.offdiag)
+
+
+def _check_entries(diag: np.ndarray, offdiag: np.ndarray) -> None:
+    """Reject a model, or stacked draws, with a non-finite entry or an
+    off-diagonal entry that is not positive."""
+    if not np.isfinite(diag).all():
+        raise ValueError("diag entries must be finite")
+    if not np.isfinite(offdiag).all():
+        raise ValueError("offdiag entries must be finite")
+    if (offdiag <= 0).any():
+        raise ValueError("off-diagonal entries must be positive")
 
 
 @dataclass(frozen=True)
@@ -67,30 +74,37 @@ class CarouselParams:
     ell: int
 
 
-def _draw_step_major(draw, count: int, width: int) -> np.ndarray:
+def _draw_step_major(draw, count: int, width: int, rng) -> np.ndarray:
     """A (count, width) array stored step-major, as the .T view of a C-ordered
-    (width, count) one, holding the values that one draw(out) call would put
-    into a C-ordered (count, width) array `out`.
+    (width, count) one, holding the values that one draw(out, rng) call would
+    put into a C-ordered (count, width) array `out`.
 
     draw is called on consecutive chunks of DRAW_CHUNK rows of a reused
-    buffer, so it must fill its argument in order, as NumPy's `out=`
-    samplers do.
+    buffer, with the chunk's slice of rng if rng is a sequence of streams,
+    one per row; else with rng itself, one RngStream, so that draw must fill
+    its argument in order, as NumPy's `out=` samplers do.
     """
     block = np.empty((width, count)).T
     chunk = np.empty((min(DRAW_CHUNK, count), width))
     for lo in range(0, count, DRAW_CHUNK):
         rows = chunk[: min(DRAW_CHUNK, count - lo)]
-        draw(rows)
+        draw(rows, rng[lo : lo + len(rows)] if isinstance(rng, Sequence) else rng)
         block[lo : lo + len(rows)] = rows
     return block
 
 
-def _sample_tridiagonal_block(beta: float, n: int, count: int, rng: RngStream):
-    """Sample `count` independent tridiagonal models of size n from one stream.
+def _sample_tridiagonal_block(
+    beta: float, n: int, count: int, rng: RngStream | Sequence[RngStream]
+):
+    """Sample `count` independent tridiagonal models of size n, from one
+    stream for the whole block or from a sequence of `count` streams, one per
+    draw.
 
-    The draw order is part of the reproducibility contract: the diagonals
-    (count, n) as N(0, 2/beta), then the off-diagonals (count, n-1) as
-    chi_{beta*(n-p)} / sqrt(beta), each in row-major order. Returns (diag
+    The draw order is part of the reproducibility contract. From one stream:
+    the diagonals (count, n) as N(0, 2/beta), then the off-diagonals
+    (count, n-1) as chi_{beta*(n-p)} / sqrt(beta), each in row-major order.
+    From one stream per draw: the draw's diagonal, then its off-diagonal, so
+    each row is the one-draw block of its own stream. Returns (diag
     (count, n), offdiag (count, n-1)), both stored step-major (see
     _draw_step_major), so that a recursion across the draws reads one
     contiguous row per step.
@@ -102,12 +116,12 @@ def _sample_tridiagonal_block(beta: float, n: int, count: int, rng: RngStream):
     sd, scale = math.sqrt(2.0 / beta), math.sqrt(beta)
     dof = beta * (n - np.arange(1, n, dtype=float))
 
-    def chi(out):
-        chi_sample(dof, rng, out)
+    def chi(out, streams):
+        chi_sample(dof, streams, out)
         out /= scale
 
-    diag = _draw_step_major(lambda out: gaussian_sample(sd, rng, out), count, n)
-    return diag, _draw_step_major(chi, count, n - 1)
+    diag = _draw_step_major(lambda out, streams: gaussian_sample(sd, streams, out), count, n, rng)
+    return diag, _draw_step_major(chi, count, n - 1, rng)
 
 
 def sample_tridiagonal(beta: float, n: int, rng: RngStream) -> TridiagonalModel:
@@ -121,6 +135,16 @@ def _stack_models(beta: float, n: int, master_seed: int, block: range):
     """Sample the replicas of `block` from the one stream addressed by its
     first index: (diag (C, n), offdiag (C, n-1))."""
     return _sample_tridiagonal_block(beta, n, len(block), RngStream(master_seed, block.start))
+
+
+def _stack_own_models(beta: float, n: int, master_seed: int, block: range):
+    """Sample each draw d of `block` from its own stream (master_seed, d), as
+    sample_tridiagonal does, with the same check of its entries: (diag
+    (C, n), offdiag (C, n-1), the C streams, each ready for its next draw)."""
+    streams = [RngStream(master_seed, d) for d in block]
+    diag, offdiag = _sample_tridiagonal_block(beta, n, len(block), streams)
+    _check_entries(diag, offdiag)
+    return diag, offdiag, streams
 
 
 def _conjugate_block(offdiag: np.ndarray):
@@ -165,7 +189,9 @@ def _sturm_block(diag: np.ndarray, offdiag: np.ndarray, lams: np.ndarray) -> np.
     Pivot p is d_p = (diag_p - lam) - offdiag_p^2 / d_{p-1}, in that order.
     Step p reads the rows diag.T[p] and offdiag.T[p-1], which are contiguous
     in the step-major blocks of _sample_tridiagonal_block (any layout gives
-    the same counts), and the pivots, updated in place, are (K, C).
+    the same counts), and the pivots, updated in place, are (K, C). A step
+    adds at most one to a count, so the counts are kept in bytes and added
+    into the int64 total every 255 steps, before a byte can wrap.
     """
     lam = np.asarray(lams, dtype=float).T
     lam = lam[:, None] if lam.ndim == 1 else lam  # (K, 1) or (K, C)
@@ -173,24 +199,31 @@ def _sturm_block(diag: np.ndarray, offdiag: np.ndarray, lams: np.ndarray) -> np.
     neg_tiny = -(np.finfo(float).eps * (1.0 + np.abs(lam)))
     d, t = np.empty(shape), np.empty(shape)
     below = np.empty(shape, dtype=bool)
+    below_bytes = below.view(np.uint8)
+    counted = np.zeros(shape, dtype=np.uint8)
     neg = np.zeros(shape, dtype=np.int64)
     square = np.empty(diag.shape[0])
+    flush = np.iinfo(np.uint8).max
 
-    def tally():
+    def tally(step):
         if not d.all():
             np.copyto(d, neg_tiny, where=d == 0.0)
         np.less(d, 0.0, out=below)
-        np.add(neg, below, out=neg)
+        np.add(counted, below_bytes, out=counted)
+        if step % flush == 0:
+            np.add(neg, counted, out=neg)
+            counted.fill(0)
 
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         np.subtract(diag.T[0], lam, out=d)
-        tally()
-        for row, off in zip(diag.T[1:], offdiag.T):
+        tally(1)
+        for step, (row, off) in enumerate(zip(diag.T[1:], offdiag.T), 2):
             np.subtract(row, lam, out=t)
             np.square(off, out=square)
             np.divide(square, d, out=d)
             np.subtract(t, d, out=d)
-            tally()
+            tally(step)
+    neg += counted
     return neg.T
 
 
@@ -216,7 +249,9 @@ def _sweep_phases(diag, offdiag, lams, ell: int):
     The state is (K, C), updated in place. X is read as the (n, C) array
     behind a step-major diag (a copy for any other layout), and -a and a/s
     are formed once from _conjugate_block's step-major a, so that each step
-    reads contiguous (C,) rows.
+    reads contiguous (C,) rows. A step moves a sheet count by at most one,
+    so each side counts its sheet moves in bytes and adds them into its
+    int64 count every 255 steps, before a byte can wrap.
     """
     n = diag.shape[1]
     s, a = _conjugate_block(offdiag)
@@ -228,26 +263,38 @@ def _sweep_phases(diag, offdiag, lams, ell: int):
     shape = (lam.shape[0], diag.shape[0])
     ab = np.empty(shape)  # a_l * b_l
     sheet = np.empty(shape, dtype=bool)
+    sheet_bytes = sheet.view(np.uint8)
+    moved = np.zeros(shape, dtype=np.uint8)
+    flush = np.iinfo(np.uint8).max
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         k, r = np.ones(shape, dtype=np.int64), np.full(shape, -np.inf)
         for l in range(ell):
             r += 0.0
             np.greater_equal(r, 0.0, out=sheet)
-            k += sheet
+            moved += sheet_bytes
+            if (l + 1) % flush == 0:
+                k += moved
+                moved.fill(0)
             np.divide(neg_a[l], r, out=r)
             np.subtract(lam, x[l], out=ab)
             ab *= gain[l]
             r += ab
+        k += moved
         fwd = _lift_affine(TWO_PI * k, 1.0, r)
         k, r = np.zeros(shape, dtype=np.int64), np.zeros(shape)
+        moved.fill(0)
         for l in range(n - 1, ell - 1, -1):
             np.subtract(lam, x[l], out=ab)
             ab *= gain[l]
             r -= ab
             r += 0.0
             np.less(r, 0.0, out=sheet)
-            k -= sheet
+            moved += sheet_bytes
+            if (n - l) % flush == 0:
+                k -= moved
+                moved.fill(0)
             np.divide(neg_a[l], r, out=r)
+        k -= moved
         bwd = _lift_affine(TWO_PI * k, 1.0, r)
     return fwd.T, bwd.T
 
@@ -340,14 +387,11 @@ def _cross_count_chunks(beta: float, n: int, draws: int, lams_per_draw: int, see
     """
     half_width = 2.0 * math.sqrt(n) + 2.0
     for block in replica_blocks(draws):
+        diag, offdiag, streams = _stack_own_models(beta, n, seed, block)
         # step-major, as _sample_tridiagonal_block stores a block
-        diag, offdiag = np.empty((n, len(block))).T, np.empty((n - 1, len(block))).T
         lams = np.empty((lams_per_draw, len(block))).T
-        for row, d in enumerate(block):
-            rng = RngStream(seed, d)
-            model = sample_tridiagonal(beta, n, rng)
-            diag[row], offdiag[row] = model.diag, model.offdiag
-            lams[row] = rng.generator.uniform(-half_width, half_width, lams_per_draw)
+        for row, rng in zip(lams, streams):
+            row[:] = rng.generator.uniform(-half_width, half_width, lams_per_draw)
         sweep, flags = _sweep_counts_block(diag, offdiag, lams, n // 2)
         yield diag, offdiag, lams, sweep, flags, _sturm_block(diag, offdiag, lams)
 

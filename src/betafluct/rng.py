@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 
 import numpy as np
 
@@ -37,24 +38,37 @@ class RngStream:
 
 
 # Each sampler fills its `out`, a C-contiguous float array that its parameter
-# broadcasts to, in place and returns it.
-def gaussian_sample(sd, rng: RngStream, out: np.ndarray) -> np.ndarray:
+# broadcasts to, in place and returns it. gaussian_sample and chi_sample also
+# take a sequence of streams, one per row of out: each row is drawn from its
+# own stream, and the transform runs once over all of out.
+def _generator_rows(rng: RngStream | Sequence[RngStream], out: np.ndarray):
+    """(generator, array) pairs that cover out: all of it from one RngStream,
+    or row i from the stream rng[i]."""
+    if isinstance(rng, Sequence):
+        return zip((stream.generator for stream in rng), out, strict=True)
+    return ((rng.generator, out),)
+
+
+def gaussian_sample(sd, rng: RngStream | Sequence[RngStream], out: np.ndarray) -> np.ndarray:
     """N(0, sd^2) draws, each sd * standard_normal; sd = 0 fills zeros."""
     if np.any(np.asarray(sd) < 0):
         raise ValueError("standard deviation must be non-negative")
-    rng.generator.standard_normal(out=out)
+    for generator, rows in _generator_rows(rng, out):
+        generator.standard_normal(out=rows)
     out *= sd
     return out
 
 
-def chi_sample(u, rng: RngStream, out: np.ndarray) -> np.ndarray:
+def chi_sample(u, rng: RngStream | Sequence[RngStream], out: np.ndarray) -> np.ndarray:
     """Chi draws with u > 0 (possibly non-integer) degrees of freedom, by the
     identity chi_u = sqrt(2 * Gamma(u/2)); the gamma sampler handles every
     real shape, including shape < 1."""
     u = np.asarray(u, dtype=float)
     if np.any(u <= 0):
         raise ValueError("chi degrees of freedom must be positive")
-    rng.generator.standard_gamma(u / 2.0, out=out)
+    shape = u / 2.0
+    for generator, rows in _generator_rows(rng, out):
+        generator.standard_gamma(shape, out=rows)
     # in place: a second (count, n-1) array would raise a block's peak memory
     out *= 2.0
     return np.sqrt(out, out=out)

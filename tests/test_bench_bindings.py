@@ -86,3 +86,21 @@ def test_tracer_counts_sweep_steps():
     assert counts.shape == flags.shape == (c, k)
     assert tracer.counters["gaussian.sweep_steps"] == c * k * n
     assert tracer.counters["circlemap.lift_calls"] == 2
+
+
+def test_tracer_counts_a_traced_cross_check():
+    # the tracer replaces gaussian.RngStream with a wrapper function, so the
+    # cross-check, which builds one stream per draw, must not test a value
+    # against that name; the counts match an untraced run
+    c, n, k = 5, 9, 3
+    untraced = gaussian.verify_counts(2.0, n, c, k, 1)
+    tracer = _load_tracer().Tracer()
+    tracer.install()
+    try:
+        traced = gaussian.verify_counts(2.0, n, c, k, 1)
+    finally:
+        tracer.uninstall()
+    assert traced == untraced
+    assert tracer.counters["rng.streams"] == c
+    for key in ("gaussian.sturm_steps", "gaussian.sweep_steps"):
+        assert tracer.counters[key] == c * k * n

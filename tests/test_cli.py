@@ -42,6 +42,14 @@ def test_verify_count_reports_zero_mismatches(capsys):
     assert "checked 5000 points over 100 draws" in captured.out
 
 
+def test_verify_count_refuses_an_underflowed_offdiagonal(capsys):
+    # at beta = 0.01 a chi draw underflows to exactly 0, which the sweep
+    # cannot conjugate away; the draw is refused, not counted
+    rc = main(["verify-count", "--beta", "0.01", "--n", "50", "--samples", "200", "--seed", "3"])
+    assert rc == 2
+    assert "off-diagonal entries must be positive" in capsys.readouterr().err
+
+
 def test_scan_cbe_schema_and_reproducibility(tmp_path):
     out1, out2 = str(tmp_path / "a"), str(tmp_path / "b")
     args = ["scan-cbe", "--beta", "2", "--n", "32", "--samples", "600", "--seed", "3",
@@ -213,6 +221,27 @@ def test_sample_commands(tmp_path, capsys):
         assert rc == 0
         captured = capsys.readouterr()
         assert len(captured.out.strip().split("\n")) >= 2
+
+
+def test_sample_gbe_draws_each_replica_from_its_own_stream(tmp_path):
+    # draws past the first replica block, sampled a block at a time, are
+    # still draw d of the stream (seed, d)
+    from scipy.linalg import eigvalsh_tridiagonal
+
+    from betafluct.gaussian import sample_tridiagonal
+    from betafluct.rng import BLOCK_SIZE, RngStream
+
+    draws, beta, seed = BLOCK_SIZE + 2, 1.3, 5
+    out = str(tmp_path / "eigs")
+    argv = ["sample", "--ensemble", "gbe", "--n", "4", "--beta", str(beta)]
+    assert main(argv + ["--samples", str(draws), "--seed", str(seed), "--out", out]) == 0
+    header, rows = _read_csv(out + ".csv")
+    assert header == "draw,eigenvalue"
+    eigs = np.array([float(e) for _, e in rows]).reshape(draws, 4)
+    assert [int(d) for d, _ in rows] == [d for d in range(draws) for _ in range(4)]
+    for d in range(draws):
+        model = sample_tridiagonal(beta, 4, RngStream(seed, d))
+        assert np.array_equal(eigs[d], eigvalsh_tridiagonal(model.diag, model.offdiag)), d
 
 
 def test_sample_small_beta_exits_0(capsys):

@@ -136,6 +136,24 @@ def test_block_sampler_matches_direct_generator_calls(count, n):
     assert diag.T.flags.c_contiguous and offdiag.T.flags.c_contiguous
 
 
+@settings(max_examples=20, derandomize=True, deadline=None)
+@given(
+    beta=st.floats(0.25, 6.0),
+    n=st.sampled_from([1, 2, 40]),
+    count=st.sampled_from([DRAW_CHUNK - 1, DRAW_CHUNK, DRAW_CHUNK + 1, 2 * DRAW_CHUNK + 3]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_block_sampler_with_one_stream_per_draw_matches_one_draw_calls(beta, n, count, seed):
+    # row d, drawn a chunk at a time from its own stream, is bit for bit the
+    # one-draw sample of that stream
+    streams = [RngStream(seed, d) for d in range(count)]
+    diag, offdiag = _sample_tridiagonal_block(beta, n, count, streams)
+    assert diag.T.flags.c_contiguous and offdiag.T.flags.c_contiguous
+    for d in range(count):
+        model = sample_tridiagonal(beta, n, RngStream(seed, d))
+        assert np.array_equal(diag[d], model.diag) and np.array_equal(offdiag[d], model.offdiag)
+
+
 def test_stack_models_block_addressing():
     block = range(2048, 2048 + 300)
     d1, o1 = _stack_models(1.5, 12, 83, block)
@@ -338,6 +356,25 @@ def test_block_counters_do_not_depend_on_layout():
             c_counts, c_flags = _sweep_counts_block(*c_order, lams, ell)
             assert np.array_equal(c_counts, counts) and np.array_equal(c_flags, flags)
             assert np.array_equal(counts[~flags], sturm[~flags])
+
+
+@pytest.mark.parametrize("beta", (0.5, 2.0))
+def test_byte_counts_past_their_flushes(beta):
+    # the Sturm pass and each sweep side count in bytes, added into their
+    # totals every 255 steps; at n = 600 the Sturm pass and, at ell = 0 and
+    # ell = n, a sweep side run past steps 255 and 510, and at ell = 300 both
+    # sides run past step 255, with counts above 255 at the upper levels
+    n = 600
+    diag, offdiag = _stack_models(beta, n, 86, range(3))
+    lams = np.linspace(-2.0 * math.sqrt(n) - 2.0, 2.0 * math.sqrt(n) + 2.0, 41)
+    eigs = [eigvalsh_tridiagonal(d, o) for d, o in zip(diag, offdiag)]
+    expected = np.array([np.searchsorted(e, lams, side="right") for e in eigs])
+    assert expected[:, 0].max() == 0 and expected[:, -1].min() == n
+    assert np.array_equal(_sturm_block(diag, offdiag, lams), expected)
+    for ell in (0, n // 2, n):
+        counts, flags = _sweep_counts_block(diag, offdiag, lams, ell)
+        assert np.count_nonzero(flags) <= 1
+        assert np.array_equal(counts[~flags], expected[~flags]), ell
 
 
 # ---------------------------------------------------------------- phase sweep

@@ -14,6 +14,7 @@ TESTED_ONLY = {
     "prufer_evaluate": "psi_k(theta, a) of one draw: monotone, 2pi-equivariant, a martingale",
     "sturm_count": "one draw's pivot count: small matrices, dense eigenvalues, shift invariance",
     "phase_sweep": "one draw's sweep count: independent of the split, flagged on an eigenvalue",
+    "sample_tridiagonal": "one GbetaE draw: the semicircle law, bounded backward-phase drift",
     "fit_log_bound": "the slope and max ratio of the logarithmic bound (criteria 3 and 7)",
     "regularity_profile": "criterion 8's regularity statistic",
 }
