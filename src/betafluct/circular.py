@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .rng import RngStream, beta_1s_sample, TWO_PI
+from .rng import RngStream, StepTally, beta_1s_sample, TWO_PI
 
 
 @dataclass(frozen=True)
@@ -135,8 +135,8 @@ def _chart_steps(gamma, tau, t0, careful: bool):
     the rotation, to its limit -1/tau, or unchanged where tau = 0. The plain
     step sends it to NaN.
 
-    A step crosses at most one sheet, so the crossings are counted in bytes
-    and added into turns every 255 steps, before a byte can wrap.
+    A step crosses at most one sheet; the crossings are counted by a
+    StepTally.
     """
     n_draws, depth = gamma.shape
     shape = (t0.size, n_draws)
@@ -148,11 +148,7 @@ def _chart_steps(gamma, tau, t0, careful: bool):
     tau = np.broadcast_to(tau[:, None], shape).copy()
     neg_tau = -tau
     w = np.empty(shape)
-    cross = np.empty(shape, dtype=bool)
-    cross_bytes = cross.view(np.uint8)
-    crossed = np.zeros(shape, dtype=np.uint8)
-    turns = np.zeros(shape, dtype=np.int32)
-    flush = np.iinfo(np.uint8).max
+    turns = StepTally(shape)
     if careful:
         edge = np.empty(shape, dtype=bool)
         still = tau == 0.0
@@ -184,15 +180,11 @@ def _chart_steps(gamma, tau, t0, careful: bool):
             w -= 1.0
             np.subtract(neg_tau, t, out=t)
             t /= w
-            np.greater_equal(w, 0.0, out=cross)
-            crossed += cross_bytes
-            if (start + j + 1) % flush == 0:
-                turns += crossed
-                crossed.fill(0)
+            np.greater_equal(w, 0.0, out=turns.hits)
+            turns.add()
             if careful:
                 np.copyto(t, limit, where=edge)
-    turns += crossed
-    return t, turns
+    return t, turns.done()
 
 
 def _final_phases(gamma: np.ndarray, thetas: np.ndarray, a: float = 0.0) -> np.ndarray:

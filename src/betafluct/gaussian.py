@@ -9,7 +9,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .circlemap import _lift_affine
-from .rng import RngStream, chi_sample, gaussian_sample, replica_blocks, TWO_PI
+from .rng import RngStream, StepTally, chi_sample, gaussian_sample, replica_blocks, TWO_PI
 
 # Relative winding distance to an integer below which a sweep count is
 # reported as ill-conditioned instead of silently rounded.
@@ -186,45 +186,30 @@ def _sturm_block(diag: np.ndarray, offdiag: np.ndarray, lams: np.ndarray) -> np.
     """Vectorized pivot counts: diag (C, n), offdiag (C, n-1), lams (K,) shared
     by all draws or (C, K) one row per draw -> (C, K).
 
-    Pivot p is d_p = (diag_p - lam) - offdiag_p^2 / d_{p-1}, in that order.
-    Step p reads the rows diag.T[p] and offdiag.T[p-1], which are contiguous
-    in the step-major blocks of _sample_tridiagonal_block (any layout gives
-    the same counts), and the pivots, updated in place, are (K, C). A step
-    adds at most one to a count, so the counts are kept in bytes and added
-    into the int64 total every 255 steps, before a byte can wrap.
+    Pivot p is d_p = (diag_p - lam) - offdiag_p^2 / d_{p-1}, in that order,
+    from d_{-1} = +inf and offdiag_0 = 0. Step p reads the contiguous rows
+    diag.T[p] and offdiag.T[p-1] of _sample_tridiagonal_block's step-major
+    blocks (any layout gives the same counts) and updates the (K, C) pivots
+    in place. A step adds at most one to a count: a StepTally counts them.
     """
     lam = np.asarray(lams, dtype=float).T
     lam = lam[:, None] if lam.ndim == 1 else lam  # (K, 1) or (K, C)
     shape = (lam.shape[0], diag.shape[0])
     neg_tiny = -(np.finfo(float).eps * (1.0 + np.abs(lam)))
-    d, t = np.empty(shape), np.empty(shape)
-    below = np.empty(shape, dtype=bool)
-    below_bytes = below.view(np.uint8)
-    counted = np.zeros(shape, dtype=np.uint8)
-    neg = np.zeros(shape, dtype=np.int64)
+    d, t = np.full(shape, np.inf), np.empty(shape)
+    neg = StepTally(shape)
     square = np.empty(diag.shape[0])
-    flush = np.iinfo(np.uint8).max
-
-    def tally(step):
-        if not d.all():
-            np.copyto(d, neg_tiny, where=d == 0.0)
-        np.less(d, 0.0, out=below)
-        np.add(counted, below_bytes, out=counted)
-        if step % flush == 0:
-            np.add(neg, counted, out=neg)
-            counted.fill(0)
-
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        np.subtract(diag.T[0], lam, out=d)
-        tally(1)
-        for step, (row, off) in enumerate(zip(diag.T[1:], offdiag.T), 2):
+        for row, off in zip(diag.T, [np.zeros_like(square), *offdiag.T]):
             np.subtract(row, lam, out=t)
             np.square(off, out=square)
             np.divide(square, d, out=d)
             np.subtract(t, d, out=d)
-            tally(step)
-    neg += counted
-    return neg.T
+            if not d.all():
+                np.copyto(d, neg_tiny, where=d == 0.0)
+            np.less(d, 0.0, out=neg.hits)
+            neg.add()
+    return neg.done().T
 
 
 def _sweep_phases(diag, offdiag, lams, ell: int):
@@ -249,9 +234,8 @@ def _sweep_phases(diag, offdiag, lams, ell: int):
     The state is (K, C), updated in place. X is read as the (n, C) array
     behind a step-major diag (a copy for any other layout), and -a and a/s
     are formed once from _conjugate_block's step-major a, so that each step
-    reads contiguous (C,) rows. A step moves a sheet count by at most one,
-    so each side counts its sheet moves in bytes and adds them into its
-    int64 count every 255 steps, before a byte can wrap.
+    reads contiguous (C,) rows. A step moves a sheet count by at most one;
+    each side counts its sheet moves by a StepTally.
     """
     n = diag.shape[1]
     s, a = _conjugate_block(offdiag)
@@ -262,40 +246,27 @@ def _sweep_phases(diag, offdiag, lams, ell: int):
     lam = lam[:, None] if lam.ndim == 1 else lam  # (K, 1) or (K, C)
     shape = (lam.shape[0], diag.shape[0])
     ab = np.empty(shape)  # a_l * b_l
-    sheet = np.empty(shape, dtype=bool)
-    sheet_bytes = sheet.view(np.uint8)
-    moved = np.zeros(shape, dtype=np.uint8)
-    flush = np.iinfo(np.uint8).max
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        k, r = np.ones(shape, dtype=np.int64), np.full(shape, -np.inf)
+        up, r = StepTally(shape), np.full(shape, -np.inf)
         for l in range(ell):
             r += 0.0
-            np.greater_equal(r, 0.0, out=sheet)
-            moved += sheet_bytes
-            if (l + 1) % flush == 0:
-                k += moved
-                moved.fill(0)
+            np.greater_equal(r, 0.0, out=up.hits)
+            up.add()
             np.divide(neg_a[l], r, out=r)
             np.subtract(lam, x[l], out=ab)
             ab *= gain[l]
             r += ab
-        k += moved
-        fwd = _lift_affine(TWO_PI * k, 1.0, r)
-        k, r = np.zeros(shape, dtype=np.int64), np.zeros(shape)
-        moved.fill(0)
+        fwd = _lift_affine(TWO_PI * (1 + up.done()), 1.0, r)
+        down, r = StepTally(shape), np.zeros(shape)
         for l in range(n - 1, ell - 1, -1):
             np.subtract(lam, x[l], out=ab)
             ab *= gain[l]
             r -= ab
             r += 0.0
-            np.less(r, 0.0, out=sheet)
-            moved += sheet_bytes
-            if (n - l) % flush == 0:
-                k -= moved
-                moved.fill(0)
+            np.less(r, 0.0, out=down.hits)
+            down.add()
             np.divide(neg_a[l], r, out=r)
-        k -= moved
-        bwd = _lift_affine(TWO_PI * k, 1.0, r)
+        bwd = _lift_affine(TWO_PI * -down.done(), 1.0, r)
     return fwd.T, bwd.T
 
 

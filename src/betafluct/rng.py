@@ -1,4 +1,5 @@
-"""Deterministic, splittable random sampling primitives."""
+"""Deterministic, splittable random sampling primitives, and the step tally
+that the Prufer, Sturm and sweep kernels count their per-step hits with."""
 
 from __future__ import annotations
 
@@ -94,3 +95,32 @@ def replica_blocks(m: int, base: int = 0) -> list[range]:
 
 
 TWO_PI = 2.0 * math.pi
+
+
+class StepTally:
+    """Per-element counts of a step recursion that adds at most one per step:
+    each step writes its hits (bool, `shape`) into `hits` and calls add().
+    The hits are summed in bytes, added into int64 totals every 255 steps,
+    before a byte can wrap; done() adds the rest and returns the totals."""
+
+    __slots__ = ("hits", "_hit_bytes", "_counted", "_totals", "_left")
+    FLUSH_STEPS = np.iinfo(np.uint8).max
+
+    def __init__(self, shape):
+        self.hits = np.zeros(shape, dtype=bool)
+        self._hit_bytes = self.hits.view(np.uint8)
+        self._counted = np.zeros(shape, dtype=np.uint8)
+        self._totals = np.zeros(shape, dtype=np.int64)
+        self._left = self.FLUSH_STEPS
+
+    def add(self) -> None:
+        np.add(self._counted, self._hit_bytes, out=self._counted)
+        self._left -= 1
+        if not self._left:
+            self.done()
+
+    def done(self) -> np.ndarray:
+        np.add(self._totals, self._counted, out=self._totals)
+        self._counted.fill(0)
+        self._left = self.FLUSH_STEPS
+        return self._totals

@@ -347,6 +347,9 @@ def tail_check(
     if m < 1:
         raise ValueError(f"need at least 1 replica, got {m}")
     b_grid = tuple(float(b) for b in b_grid)
+    for b in b_grid:
+        if not math.isfinite(b):
+            raise ValueError(f"b must be finite, got {b}")
     tasks = [(beta, n, theta, a, b_grid, seed, block) for block in replica_blocks(m)]
     results = _run_ordered(_tail_worker, tasks, workers)
     hits = np.zeros(len(b_grid), dtype=np.int64)

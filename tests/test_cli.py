@@ -290,6 +290,10 @@ def test_usage_errors_exit_2(capsys):
     for argv, message in (
         (["tail-check", "--a", "nan", "--samples", "10"], "a must be finite, got nan"),
         (["tail-check", "--a", "inf", "--samples", "10"], "a must be finite, got inf"),
+        (["tail-check", "--n", "8", "--samples", "50", "--b-grid", "nan,inf,-inf,6"],
+         "b must be finite, got nan"),
+        (["tail-check", "--samples", "10", "--b-grid", "6,inf"], "b must be finite, got inf"),
+        (["tail-check", "--samples", "10", "--b-grid=6,-inf"], "b must be finite, got -inf"),
         (["scan-cbe", "--beta", "nan", "--samples", "10"], "beta must be positive and finite, got nan"),
         (["scan-cbe", "--beta", "inf", "--samples", "10"], "beta must be positive and finite, got inf"),
         (["scan-gbe", "--center", "nan", "--samples", "10"], "center must be finite, got nan"),

@@ -91,6 +91,17 @@ def test_no_unused_imports():
     assert unused == []
 
 
+def test_only_rng_counts_in_bytes():
+    # the byte counter of the step recursions and its flush live in
+    # rng.StepTally; a kernel that counts per-step hits uses it, not a copy
+    readers = [
+        path.name
+        for path, tree in _trees(PACKAGE).items()
+        if path.name != "rng.py" and "uint8" in _reads(tree)
+    ]
+    assert readers == []
+
+
 # Parameters that every call in src/ leaves at its default or sets to one
 # shared literal, with their reader; an entry whose calls start to vary is
 # stale and fails the check.

@@ -9,6 +9,7 @@ from scipy.stats import kstest
 from betafluct.rng import (
     BLOCK_SIZE,
     RngStream,
+    StepTally,
     beta_1s_sample,
     chi_sample,
     gaussian_sample,
@@ -104,6 +105,32 @@ def test_chunked_draws_replay_generator_calls():
         for lo, hi in ((0, 3), (3, 4), (4, 7)):
             assert sample(arg, rng, out[lo:hi]).base is out
         assert np.array_equal(out, expected[seed]), sample.__name__
+
+
+@pytest.mark.parametrize("steps", (0, 1, 254, 255, 256, 510, 511, 766))
+def test_step_tally_totals_are_exact(steps):
+    # a byte holds 255 steps of hits, so these runs end before, on and past
+    # one, two and three flushes; rows hit on every step, on even steps and
+    # on odd steps, and every column alike
+    tally = StepTally((3, 4))
+    for step in range(steps):
+        tally.hits[0] = True
+        tally.hits[1] = step % 2 == 0
+        tally.hits[2] = step % 2 == 1
+        tally.add()
+    totals = tally.done()
+    assert totals.dtype == np.int64
+    expected = np.array([steps, (steps + 1) // 2, steps // 2])
+    assert np.array_equal(totals, np.broadcast_to(expected[:, None], (3, 4)))
+
+
+def test_step_tally_done_after_a_flush_adds_nothing_twice():
+    tally = StepTally((2, 3))
+    tally.hits[:] = True
+    for _ in range(255):
+        tally.add()
+    assert np.all(tally.done() == 255)
+    assert np.all(tally.done() == 255)
 
 
 def test_beta_s1_is_uniform():

@@ -311,6 +311,14 @@ def test_tail_check_theta_domain():
         tail_check(2.0, 10, theta=0.2, m=100, seed=0)
 
 
+@pytest.mark.parametrize("b", (math.nan, math.inf, -math.inf))
+def test_tail_check_refuses_a_non_finite_threshold(b):
+    # nan would give 0 hits, inf 0 hits and -inf every replica, each with a
+    # bound of its own, as if they were checks
+    with pytest.raises(ValueError, match=f"b must be finite, got {b}"):
+        tail_check(2.0, 8, m=50, seed=0, b_grid=(6.0, b))
+
+
 def test_tail_and_regularity_need_a_replica():
     with pytest.raises(ValueError):
         tail_check(2.0, 10, m=0, seed=0)
