@@ -291,21 +291,26 @@ def default_window_size(x_max: float) -> int:
     return max(4096, int(math.ceil(50.0 * x_max)))
 
 
+def min_window_size(x_max: float) -> int:
+    """Smallest matrix size for a window of length x_max: ceil(10 * x_max),
+    so that the window stays far from the full circle."""
+    return math.ceil(10.0 * x_max)
+
+
 def sine_beta_window(beta: float, x_max: float, n: int | None, rng: RngStream) -> np.ndarray:
     """Approximate a sine-process sample on [0, x_max] by the rescaled points
     of a size-n circular ensemble (the window points are n times the angles),
     returned sorted.
 
     n = None means default_window_size(x_max) = max(4096, ceil(50 * x_max));
-    any explicit n must satisfy n >= ceil(10 * x_max) so the window stays far
-    from the full circle.
+    any explicit n must be at least min_window_size(x_max).
     """
     if not 0 <= x_max < math.inf:
         raise ValueError(f"x_max must be non-negative and finite, got {x_max}")
     if n is None:
         n = default_window_size(x_max)
-    if n < math.ceil(10.0 * x_max):
-        raise ValueError(f"n={n} too small for window length {x_max}; need n >= {math.ceil(10.0 * x_max)}")
+    if n < min_window_size(x_max):
+        raise ValueError(f"n={n} too small for window length {x_max}; need n >= {min_window_size(x_max)}")
     draw = sample_verblunsky(beta, n, rng)
     count = count_arc(draw, x_max) if x_max > 0.0 else 0
     if count == 0:

@@ -8,7 +8,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .circlemap import _lift_affine
 from .rng import RngStream, StepTally, chi_sample, gaussian_sample, replica_blocks, TWO_PI
 
 # Relative winding distance to an integer below which a sweep count is
@@ -167,6 +166,14 @@ def _conjugate_block(offdiag: np.ndarray):
     return s, a.T
 
 
+def _level_rows(lams) -> np.ndarray:
+    """Levels (K,) shared by all draws or (C, K), one row per draw, as the
+    contiguous rows (K, 1) or (K, C) that broadcast against a kernel's
+    (K, C) state; step-major (C, K) levels are such rows without a copy."""
+    lam = np.ascontiguousarray(np.atleast_1d(np.asarray(lams, dtype=float)).T)
+    return lam[:, None] if lam.ndim == 1 else lam
+
+
 def sturm_count(model: TridiagonalModel, lam) -> int | np.ndarray:
     """Number of eigenvalues <= lam, by counting negative pivots of T - lam*I.
 
@@ -192,8 +199,7 @@ def _sturm_block(diag: np.ndarray, offdiag: np.ndarray, lams: np.ndarray) -> np.
     blocks (any layout gives the same counts) and updates the (K, C) pivots
     in place. A step adds at most one to a count: a StepTally counts them.
     """
-    lam = np.asarray(lams, dtype=float).T
-    lam = lam[:, None] if lam.ndim == 1 else lam  # (K, 1) or (K, C)
+    lam = _level_rows(lams)
     shape = (lam.shape[0], diag.shape[0])
     neg_tiny = -(np.finfo(float).eps * (1.0 + np.abs(lam)))
     d, t = np.full(shape, np.inf), np.empty(shape)
@@ -210,6 +216,12 @@ def _sturm_block(diag: np.ndarray, offdiag: np.ndarray, lams: np.ndarray) -> np.
             np.less(d, 0.0, out=neg.hits)
             neg.add()
     return neg.done().T
+
+
+def _lift_affine(sheets, r) -> np.ndarray:
+    """Read off the phase 2*pi*sheets + 2*arctan(r) of a sheet count and a
+    chart value r = tan(x/2)."""
+    return 2.0 * np.arctan(r) + TWO_PI * sheets
 
 
 def _sweep_phases(diag, offdiag, lams, ell: int):
@@ -230,20 +242,20 @@ def _sweep_phases(diag, offdiag, lams, ell: int):
     u = a_l*(r/a_l - b_l) = r - a_l*b_l, which has the same sign, as
     r <- -a_l/u. r += 0.0 turns a -0.0 into +0.0 before the sign test, so
     that -1/r sends it to -inf like the zero it is. Each side ends with one
-    lift, _lift_affine(2*pi*k, 1, r) = 2*pi*k + 2*arctan(r), since tan 0 = 0.
+    read-off of its phase, _lift_affine(k, r) = 2*pi*k + 2*arctan(r).
     The state is (K, C), updated in place. X is read as the (n, C) array
-    behind a step-major diag (a copy for any other layout), and -a and a/s
-    are formed once from _conjugate_block's step-major a, so that each step
-    reads contiguous (C,) rows. A step moves a sheet count by at most one;
-    each side counts its sheet moves by a StepTally.
+    behind a step-major diag (a copy for any other layout), the levels as
+    _level_rows' rows, and -a and a/s are formed once from
+    _conjugate_block's step-major a, so that each step reads contiguous
+    (C,) rows. A step moves a sheet count by at most one; each side counts
+    its sheet moves by a StepTally.
     """
     n = diag.shape[1]
     s, a = _conjugate_block(offdiag)
     x, gain = np.ascontiguousarray(diag.T), np.ascontiguousarray(a.T)
     neg_a = -gain
     gain /= s[:, None]
-    lam = np.ascontiguousarray(np.atleast_1d(np.asarray(lams, dtype=float)).T)
-    lam = lam[:, None] if lam.ndim == 1 else lam  # (K, 1) or (K, C)
+    lam = _level_rows(lams)
     shape = (lam.shape[0], diag.shape[0])
     ab = np.empty(shape)  # a_l * b_l
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
@@ -256,7 +268,7 @@ def _sweep_phases(diag, offdiag, lams, ell: int):
             np.subtract(lam, x[l], out=ab)
             ab *= gain[l]
             r += ab
-        fwd = _lift_affine(TWO_PI * (1 + up.done()), 1.0, r)
+        fwd = _lift_affine(1 + up.done(), r)
         down, r = StepTally(shape), np.zeros(shape)
         for l in range(n - 1, ell - 1, -1):
             np.subtract(lam, x[l], out=ab)
@@ -266,7 +278,7 @@ def _sweep_phases(diag, offdiag, lams, ell: int):
             np.less(r, 0.0, out=down.hits)
             down.add()
             np.divide(neg_a[l], r, out=r)
-        bwd = _lift_affine(TWO_PI * -down.done(), 1.0, r)
+        bwd = _lift_affine(-down.done(), r)
     return fwd.T, bwd.T
 
 

@@ -9,7 +9,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .circular import _count_arcs_block, _final_phases, _stack_draws
+from .circular import _count_arcs_block, _final_phases, _stack_draws, min_window_size
 from .gaussian import _stack_models, _sturm_block, semicircle_count
 from .rng import RngStream, TWO_PI, replica_blocks
 
@@ -80,7 +80,7 @@ class ScanSpec:
                 raise ValueError(f"scale values must be non-negative and finite, got {xi}")
             if self.ensemble in ("cbe", "sine") and xi >= TWO_PI * self.n:
                 raise ValueError(f"arc {xi} reaches around the full circle for n={self.n}")
-            if self.ensemble == "sine" and self.n < math.ceil(10.0 * xi):
+            if self.ensemble == "sine" and self.n < min_window_size(xi):
                 raise ValueError(f"n={self.n} too small for sine window {xi}")
 
 
@@ -391,14 +391,14 @@ def regularity_profile(
     the normalized count deviation |N(0, x] - x/(2 pi)| / (1 + x)^alpha.
 
     The distribution of this statistic is expected to be stochastically
-    stable as the window grows; the draws have the minimal window guard size
-    n = ceil(10 * x_max).
+    stable as the window grows; the draws have the minimal window size
+    n = min_window_size(x_max).
     """
     if x_max < 1.0:
         raise ValueError(f"x_max must be at least 1, got {x_max}")
     if m < 1:
         raise ValueError(f"need at least 1 draw, got {m}")
-    n = int(math.ceil(10.0 * x_max))
+    n = min_window_size(x_max)
     npts = max(2, int(math.ceil(math.log10(x_max) * 8)) + 1)
     grid = tuple(float(v) for v in np.geomspace(1.0, x_max, npts))
     tasks = [(beta, n, alpha, grid, seed, block) for block in replica_blocks(m)]

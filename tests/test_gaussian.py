@@ -7,7 +7,6 @@ from numpy.polynomial import polynomial as npoly
 from scipy.integrate import quad
 from scipy.linalg import eigvalsh_tridiagonal
 
-from betafluct.circlemap import _lift_affine
 from betafluct.gaussian import (
     DRAW_CHUNK,
     NEAR_DEGENERATE_TOL,
@@ -21,6 +20,7 @@ from betafluct.gaussian import (
     verify_counts,
     _conjugate_block,
     _cross_count_chunks,
+    _lift_affine,
     _sample_tridiagonal_block,
     _strict_int_part,
     _sweep_phases,
@@ -31,6 +31,13 @@ from betafluct.rng import BLOCK_SIZE, RngStream
 from betafluct.stats import _stack_models
 
 TWO_PI = 2.0 * math.pi
+
+# Property tests of the general lift draw phases, scales and shifts from
+# these ranges.
+angles = st.floats(-30.0, 30.0)
+scales = st.floats(1e-2, 1e2)
+shifts = st.floats(-10.0, 10.0)
+prop = settings(max_examples=200, derandomize=True, deadline=None)
 
 
 def _model(diag, offdiag):
@@ -52,6 +59,29 @@ def _phases(model, lams, ell):
     return fwd[0], bwd[0]
 
 
+def _general_lift(x, a, b):
+    """Lifted action of r -> a*(r + b), a > 0, on phase angles x; arrays
+    broadcast.
+
+    The projective line is identified with the unit circle by the Cayley
+    transform r -> (i - r)/(i + r), under which r = tan(x/2) corresponds to
+    the point e^{ix}. An affine map with a > 0 fixes infinity, the circle
+    point -1, and has a unique continuous increasing lift to the real line
+    that commutes with x -> x + 2*pi and fixes pi exactly. On (-pi, pi) the
+    lift is 2*arctan(a*(tan(x/2) + b)); winding numbers are handled by the
+    floor, and odd multiples of pi are fixed points by construction, also
+    where the floor rounds up and leaves x0 an ulp below -pi.
+
+    Lifts compose as their affine maps do:
+    L(a2, b2) o L(a1, b1) = L(a1*a2, b1 + b2/a1), and L(a, b) has the
+    inverse L(1/a, -a*b).
+    """
+    k = np.floor((x + np.pi) / TWO_PI)
+    x0 = x - TWO_PI * k  # in [-pi, pi), or rounded just below -pi
+    out = 2.0 * np.arctan(a * (np.tan(0.5 * x0) + b)) + TWO_PI * k
+    return np.where(x0 <= -np.pi, TWO_PI * k - np.pi, out)
+
+
 def _lift_sweep(diag, offdiag, lams, ell):
     """The sweep as a composition of lifts, one per transfer step, (C, K)
     each: forward, a half turn and then the lift of r -> a_l*(r + b_l);
@@ -59,10 +89,10 @@ def _lift_sweep(diag, offdiag, lams, ell):
     s, a = _conjugate_block(offdiag)
     fwd, bwd = np.full(lams.shape, math.pi), np.zeros(lams.shape)
     for l in range(ell):
-        fwd = _lift_affine(fwd + math.pi, a[:, l : l + 1], (lams - diag[:, l : l + 1]) / s[l])
+        fwd = _general_lift(fwd + math.pi, a[:, l : l + 1], (lams - diag[:, l : l + 1]) / s[l])
     for l in range(diag.shape[1] - 1, ell - 1, -1):
         al = a[:, l : l + 1]
-        bwd = _lift_affine(bwd, 1.0 / al, al * (diag[:, l : l + 1] - lams) / s[l]) - math.pi
+        bwd = _general_lift(bwd, 1.0 / al, al * (diag[:, l : l + 1] - lams) / s[l]) - math.pi
     return fwd, bwd
 
 
@@ -377,6 +407,83 @@ def test_byte_counts_past_their_flushes(beta):
         assert np.array_equal(counts[~flags], expected[~flags]), ell
 
 
+# ---------------------------------------------------------------- lift oracle
+
+
+def test_lift_affine_identity():
+    xs = np.linspace(-9.0, 9.0, 101)
+    assert np.allclose(_general_lift(xs, 1.0, 0.0), xs, atol=1e-12)
+
+
+@prop
+@given(k=st.integers(-5, 4), a=scales, b=shifts)
+def test_lift_affine_fixes_odd_pi(k, a, b):
+    x = math.pi * (2 * k + 1)
+    assert _general_lift(x, a, b) == pytest.approx(x, abs=1e-10)
+
+
+def test_lift_affine_fixes_odd_pi_within_rounding():
+    # at an odd multiple of pi the floor can round (x + pi) / 2pi up, leaving
+    # x0 an ulp below -pi, where tan(x0/2) jumps sign; the lift still fixes x
+    odd = math.pi * (2 * np.arange(-20, 21) + 1)
+    xs = np.concatenate([odd, np.nextafter(odd, np.inf), np.nextafter(odd, -np.inf)])
+    for a, b in ((1.0, 0.0), (3.0, -2.0)):
+        assert np.max(np.abs(_general_lift(xs, a, b) - xs)) < 1e-10
+        assert np.allclose(_general_lift(xs + TWO_PI, a, b), _general_lift(xs, a, b) + TWO_PI, rtol=0.0, atol=1e-9)
+
+
+def test_lift_affine_value_via_cayley():
+    # r = tan(x/2) maps to the circle point (i - r)/(i + r); the lifted value
+    # must be an argument of the transported point
+    x, a, b = math.pi / 2, 1.0, 1.0
+    out = float(_general_lift(x, a, b))
+    assert out == pytest.approx(2.0 * math.atan(2.0), abs=1e-12)
+    r = a * (math.tan(x / 2) + b)
+    target = (1j - r) / (1j + r)
+    assert abs(np.exp(1j * out) - target) < 1e-12
+
+
+@prop
+@given(x=angles, a=scales, b=shifts)
+def test_lift_affine_monotone_and_equivariant(x, a, b):
+    xs = np.linspace(x, x + 2.0 * TWO_PI, 2001)
+    out = _general_lift(xs, a, b)
+    assert np.all(np.diff(out) > 0)
+    assert np.allclose(_general_lift(xs + TWO_PI, a, b), out + TWO_PI, rtol=0.0, atol=1e-9)
+
+
+@prop
+@given(x=angles, a=scales, b=shifts)
+def test_affine_inverse_roundtrip(x, a, b):
+    # L(a, b) has the inverse L(1/a, -a*b)
+    assert _general_lift(_general_lift(x, a, b), 1.0 / a, -a * b) == pytest.approx(x, abs=1e-9)
+
+
+@prop
+@given(x=angles, a1=scales, b1=shifts, a2=scales, b2=shifts)
+def test_composition_and_inverse(x, a1, b1, a2, b2):
+    # L(a2, b2) o L(a1, b1) = L(a1*a2, b1 + b2/a1): a chain of transfer steps
+    # is one lift call
+    composed = _general_lift(x, a1 * a2, b1 + b2 / a1)
+    assert _general_lift(_general_lift(x, a1, b1), a2, b2) == pytest.approx(composed, abs=1e-9)
+    back = _general_lift(composed, 1.0 / (a1 * a2), -a1 * a2 * (b1 + b2 / a1))
+    assert back == pytest.approx(x, abs=1e-9)
+
+
+def test_sweep_read_off_is_the_general_lift_at_a_whole_turn():
+    # the sweep reads a phase off as 2*pi*k + 2*arctan(r): the general lift of
+    # r -> r at x = 2*pi*k, byte for byte, including signed zeros, infinities
+    # and nan
+    sheets = np.array([-600, -7, -1, 0, 1, 2, 600], dtype=np.int64)[:, None]
+    special = [-0.0, 0.0, np.inf, -np.inf, np.nan, 1e-300, 1e300, -1e300]
+    r = np.concatenate([special, np.random.default_rng(5).standard_cauchy(200)])
+    read_off = _lift_affine(sheets, r)
+    lift = _general_lift(TWO_PI * sheets, 1.0, r)
+    assert read_off.dtype == lift.dtype == np.float64
+    assert read_off.shape == lift.shape == (len(sheets), len(r))
+    assert read_off.tobytes() == lift.tobytes()
+
+
 # ---------------------------------------------------------------- phase sweep
 
 
@@ -386,7 +493,7 @@ def test_phase_sweep_far_left():
     fwd, bwd = _phases(model, np.array([-1e6]), 12)
     assert fwd[0] == pytest.approx(math.pi, abs=1e-3)
     assert bwd[0] == pytest.approx(0.0, abs=1e-3)
-    # an empty side is its start state, read off through one lift exactly
+    # an empty side is its start state, read off exactly
     assert _phases(model, np.array([-1e6]), 0)[0][0] == math.pi
     assert _phases(model, np.array([-1e6]), 24)[1][0] == 0.0
 

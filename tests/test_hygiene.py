@@ -106,7 +106,6 @@ def test_only_rng_counts_in_bytes():
 # shared literal, with their reader; an entry whose calls start to vary is
 # stale and fails the check.
 CONSTANT_PARAMETERS = {
-    "_lift_affine.a": "the tracer's circlemap.lift binding; goes with circlemap.py",
     "main.argv": "tests and bench/rep.py pass the command line",
 }
 
