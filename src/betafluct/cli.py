@@ -286,7 +286,13 @@ def build_parser() -> argparse.ArgumentParser:
     draws.add_argument("--samples", type=int, default=1000, help="Monte Carlo replicas")
     draws.add_argument("--seed", type=int, default=0, help="master seed")
     workers = argparse.ArgumentParser(add_help=False)
-    workers.add_argument("--workers", type=int, default=1, help="worker processes; 0 = one per CPU")
+    workers.add_argument(
+        "--workers",
+        type=int,
+        default=1,
+        help="processes that run tasks, the calling one included; "
+        "0 = one per CPU this process may use",
+    )
     grid = argparse.ArgumentParser(add_help=False)
     grid.add_argument("--grid", type=str, default=None, help="lo:hi:count or geom:lo:hi:count")
     output = argparse.ArgumentParser(add_help=False)

@@ -131,10 +131,14 @@ def default_grid(n: int, cap: float | None = None) -> tuple:
 
 
 def resolve_workers(requested: int) -> int:
-    """Worker process count; 0 means one per CPU."""
+    """Count of processes that run tasks, the calling one included; 0 means
+    one per CPU this process may use (its affinity mask, where the platform
+    has one)."""
     if requested < 0:
         raise ValueError(f"workers must be non-negative, got {requested}")
     if requested == 0:
+        if hasattr(os, "sched_getaffinity"):
+            return len(os.sched_getaffinity(0))
         return os.cpu_count() or 1
     return requested
 
@@ -146,16 +150,33 @@ def resolve_workers(requested: int) -> int:
 # so outputs are byte-identical for any worker count.
 
 
+def _run_slice(worker, tasks: list) -> list:
+    """Results of one contiguous slice of a run's tasks, in task order."""
+    return [worker(task) for task in tasks]
+
+
 def _run_ordered(worker, tasks: list, workers: int) -> list:
-    workers = resolve_workers(workers)
-    if workers <= 1 or len(tasks) <= 1:
+    """[worker(task) for task in tasks], run by k = min(workers, len(tasks))
+    processes. For k > 1 the tasks are cut into k contiguous slices of
+    near-equal length; the calling process runs the first while a pool of
+    k - 1 runs one slice each, one round trip per slice, and the result
+    lists are joined in slice order."""
+    k = min(resolve_workers(workers), len(tasks))
+    if k <= 1:
         return [worker(task) for task in tasks]
     # NumPy 2 imports numpy.random lazily: loaded once here, before the
     # workers fork, rather than once in each worker. Not at module level,
     # where every run that starts no pool would pay for it at import.
     import numpy.random  # noqa: F401
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(worker, tasks, chunksize=1))
+    cuts = [len(tasks) * i // k for i in range(k + 1)]
+    with ProcessPoolExecutor(max_workers=k - 1) as pool:
+        futures = [
+            pool.submit(_run_slice, worker, tasks[lo:hi]) for lo, hi in zip(cuts[1:-1], cuts[2:])
+        ]
+        results = _run_slice(worker, tasks[: cuts[1]])
+        for future in futures:
+            results += future.result()
+    return results
 
 
 def _scan_worker(task):
@@ -218,8 +239,24 @@ def bootstrap_variance_ci(
     mean_shift = table @ centered / m
     sq = table @ (centered * centered)
     variances = (sq - m * mean_shift**2) / (m - 1)
-    lo, hi = np.quantile(variances, [_BOOTSTRAP_ALPHA, 1.0 - _BOOTSTRAP_ALPHA])
-    return float(lo), float(hi)
+    variances.sort()
+    lo = _sorted_quantile(variances, _BOOTSTRAP_ALPHA)
+    hi = _sorted_quantile(variances, 1.0 - _BOOTSTRAP_ALPHA)
+    return lo, hi
+
+
+def _sorted_quantile(s: np.ndarray, q: float) -> float:
+    """np.quantile(s, q) of a sorted array, bit for bit: NumPy's default
+    linear rule and its _lerp, which interpolates from the nearer end. Read
+    off here because in NumPy 2 np.quantile imports numpy.ma (through
+    np.unique) on its first call, 9-17 ms in every scan process."""
+    x = (len(s) - 1) * q
+    i = math.floor(x)
+    g = x - i
+    a, b = float(s[i]), float(s[min(i + 1, len(s) - 1)])
+    if g >= 0.5:
+        return b - (b - a) * (1.0 - g)
+    return a + (b - a) * g
 
 
 def _scan_row_params(spec: ScanSpec, xi: float):

@@ -23,7 +23,7 @@ from betafluct.circular import (
     _stack_draws,
     _count_arcs_block,
 )
-from betafluct.rng import RngStream, beta_1s_sample
+from betafluct.rng import RngStream, beta_1s_sample, replica_blocks
 
 TWO_PI = 2.0 * math.pi
 
@@ -261,6 +261,40 @@ def test_prufer_martingale_mean():
     psi = _final_phases(gamma, np.array([theta]), a=a)[:, 0]
     drift = psi - (n - 1) * theta - (theta + a)
     assert abs(drift.mean()) < 5.0 * drift.std() / math.sqrt(m)
+
+
+# (beta, n, theta, a, seed); theta > 2*pi and theta < 0 reach the whole-sheet
+# term of the rotation and a negative tau
+PRUFER_MEAN_ROWS = (
+    (2.0, 30, 1.0 / 30, 0.3, 8501),
+    (0.5, 50, 0.02, -1.0, 8502),
+    (4.0, 8, 0.1, 2.0, 8503),
+    (1.0, 200, 0.005, 0.0, 8504),
+    (1.0, 8, 7.0, 0.4, 8505),
+    (2.0, 16, -0.3, 0.0, 8506),
+    (0.5, 12, 3.5, -2.0, 8507),
+)
+
+
+def test_prufer_mean_winding_is_exact():
+    # E[psi_{n-1}(theta, a) - a] = n*theta for every beta and n: each step adds
+    # theta plus 2*(arg(1 - g) - arg(1 - g e^{i psi})), which has mean 0
+    # because arg g is uniform and independent of psi
+    m = 16384
+    zs = []
+    for beta, n, theta, a, seed in PRUFER_MEAN_ROWS:
+        total = total_sq = 0.0
+        for block in replica_blocks(m):
+            gamma, _ = _stack_draws(beta, n, seed, block)
+            excess = _final_phases(gamma, np.array([theta]), a)[:, 0] - a - n * theta
+            total += float(excess.sum())
+            total_sq += float(excess @ excess)
+        mean = total / m
+        variance = (total_sq - m * mean * mean) / (m - 1)
+        zs.append(mean / math.sqrt(variance / m))
+    zs = np.array(zs)
+    assert np.all(np.abs(zs) <= 4.0), zs
+    assert abs(zs.sum()) / math.sqrt(len(zs)) <= 3.0, zs
 
 
 def test_count_arc_empty_and_domain():

@@ -133,7 +133,11 @@ def test_manifest_records_resolved_workers_and_environment(tmp_path):
     assert main(argv) == 0
     manifest = json.loads(Path(out + ".manifest.json").read_text())
     assert manifest["argv"] == argv
-    assert manifest["params"]["workers"] == (os.cpu_count() or 1)
+    # --workers 0 counts only the CPUs this process may use
+    if hasattr(os, "sched_getaffinity"):
+        assert manifest["params"]["workers"] == len(os.sched_getaffinity(0))
+    else:
+        assert manifest["params"]["workers"] == (os.cpu_count() or 1)
     assert manifest["environment"] == {
         "python": platform.python_version(),
         "numpy": np.__version__,

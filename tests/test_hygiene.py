@@ -1,6 +1,7 @@
 """Source hygiene, read from the syntax tree: every public name in the package
-has a reader, no module imports a name it never reads, and no parameter is
-constant across every call that reaches its function."""
+has a reader, no module imports a name it never reads, no parameter is
+constant across every call that reaches its function, and one function runs
+a process pool."""
 
 import ast
 import pathlib
@@ -192,3 +193,37 @@ def test_no_parameter_is_constant_across_its_calls():
     unexpected = [p for p in constant if p not in CONSTANT_PARAMETERS]
     assert not unexpected, f"constant across every call in src/: {unexpected}"
     assert set(CONSTANT_PARAMETERS) <= set(constant), "stale CONSTANT_PARAMETERS entry"
+
+
+def _named(tree) -> set[str]:
+    """Every name a module reads or imports, dotted module paths split."""
+    names = set(_reads(tree))
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names.update(part for alias in node.names for part in alias.name.split("."))
+        elif isinstance(node, ast.ImportFrom):
+            names.update((node.module or "").split("."))
+            names.update(alias.name for alias in node.names)
+    return names
+
+
+def test_one_pooled_runner():
+    # stats._run_ordered is the one pooled runner: no other module names a
+    # process pool, and stats.py constructs one only there
+    trees = _trees(PACKAGE)
+    pooled = [
+        path.name
+        for path, tree in trees.items()
+        if path.name != "stats.py" and {"ProcessPoolExecutor", "multiprocessing"} & _named(tree)
+    ]
+    assert pooled == []
+
+    def constructions(node):
+        return sum(
+            isinstance(sub, ast.Call) and "ProcessPoolExecutor" in _reads(sub.func)
+            for sub in ast.walk(node)
+        )
+
+    stats = trees[PACKAGE / "stats.py"]
+    (runner,) = [node for node in stats.body if getattr(node, "name", None) == "_run_ordered"]
+    assert constructions(stats) == constructions(runner) == 1

@@ -1,4 +1,9 @@
+import functools
 import math
+import multiprocessing
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -9,6 +14,7 @@ from betafluct.circular import _count_arcs_block, _stack_draws
 from betafluct.cli import main
 from betafluct.rng import BLOCK_SIZE, RngStream, replica_blocks
 from betafluct.stats import (
+    BOOTSTRAP_RESAMPLES,
     ScanRow,
     ScanSpec,
     bootstrap_variance_ci,
@@ -20,6 +26,9 @@ from betafluct.stats import (
     tail_check,
     variance_scan,
     wilson_upper,
+    _BOOTSTRAP_ALPHA,
+    _run_ordered,
+    _sorted_quantile,
 )
 
 TWO_PI = 2.0 * math.pi
@@ -192,9 +201,38 @@ def test_scan_runs_all_rows_in_one_pool(monkeypatch):
     monkeypatch.setattr(stats, "ProcessPoolExecutor", counting)
     spec = ScanSpec("cbe", 2.0, 16, (1.0, 4.0, 8.0))
     rows = variance_scan(spec, m=2500, seed=72, workers=2)
-    assert started == [2]
+    # the calling process runs the first slice, so the pool holds one
+    assert started == [1]
     monkeypatch.setattr(stats, "ProcessPoolExecutor", real)
     assert rows == variance_scan(spec, m=2500, seed=72, workers=1)
+
+
+def _task_and_pid(task):
+    return task, os.getpid()
+
+
+def _fail_on(bad, task):
+    if task == bad:
+        raise ValueError(f"task {bad}")
+    return task
+
+
+@pytest.mark.parametrize("workers", [2, 3, 7, 10])
+def test_run_ordered_runs_the_first_slice_in_the_caller(workers):
+    tasks = list(range(7))
+    results = _run_ordered(_task_and_pid, tasks, workers)
+    assert [task for task, _ in results] == tasks
+    first = len(tasks) // min(workers, len(tasks))
+    in_caller = [pid == os.getpid() for _, pid in results]
+    assert in_caller == [i < first for i in range(len(tasks))]
+
+
+@pytest.mark.parametrize("bad", [1, 5])
+def test_run_ordered_raises_a_task_error_and_leaves_no_child(bad):
+    # slices [0, 1], [2, 3], [4, 5]: task 1 fails in the caller, task 5 in a child
+    with pytest.raises(ValueError, match=f"task {bad}"):
+        _run_ordered(functools.partial(_fail_on, bad), list(range(6)), 3)
+    assert multiprocessing.active_children() == []
 
 
 def test_cli_bytes_equal_at_one_and_two_workers(tmp_path):
@@ -289,6 +327,38 @@ def test_bootstrap_coverage_on_integer_gaussian_counts():
     assert covered >= 0.90 * trials
 
 
+def test_bootstrap_quantiles_match_numpy():
+    # the interval's ends, read off the sorted resamples, against np.quantile
+    rng = RngStream(73, 0).generator
+    for trial in range(3000):
+        variances = rng.gamma(5.0, 0.2, size=BOOTSTRAP_RESAMPLES)
+        if trial % 3 == 0:
+            variances = np.round(variances, 1)  # ties
+        ordered = np.sort(variances)
+        for q in (_BOOTSTRAP_ALPHA, 1.0 - _BOOTSTRAP_ALPHA):
+            assert _sorted_quantile(ordered, q) == np.quantile(variances, q)
+
+
+def test_scan_leaves_numpy_ma_unimported():
+    # in NumPy 2, np.quantile imports numpy.ma on its first call, ~9 ms
+    script = (
+        "import sys, numpy\n"
+        "before = 'numpy.ma' in sys.modules\n"
+        "from betafluct.stats import ScanSpec, variance_scan\n"
+        "variance_scan(ScanSpec('cbe', 2.0, 8, (1.0, 2.0)), m=50, seed=1)\n"
+        "print(before, 'numpy.ma' in sys.modules)\n"
+    )
+    paths = [str(Path(__file__).resolve().parents[1] / "src"), os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
+    proc = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, env=env, check=True
+    )
+    before, after = proc.stdout.split()
+    if before == "True":
+        pytest.skip("import numpy alone loads numpy.ma")
+    assert after == "False"
+
+
 # ---------------------------------------------------------------- tail check
 
 
@@ -341,11 +411,14 @@ def test_wilson_upper_monotone_sane():
 # ---------------------------------------------------------------- misc
 
 
-def test_resolve_workers():
+def test_resolve_workers(monkeypatch):
     assert resolve_workers(3) == 3
     assert resolve_workers(0) >= 1
     with pytest.raises(ValueError):
         resolve_workers(-1)
+    # 0 counts only the CPUs this process may use, as under taskset -c 0
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    assert resolve_workers(0) == 1
 
 
 def test_default_grid_shape():
