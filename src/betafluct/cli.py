@@ -16,8 +16,8 @@ import numpy as np
 
 from . import __version__
 from .circular import cbe_points, sample_verblunsky, sine_beta_window
-from .gaussian import _stack_own_models, semicircle_residual, verify_counts
-from .rng import STREAM_CONTRACT, RngStream, replica_blocks
+from .gaussian import sample_tridiagonal, semicircle_residual, verify_counts
+from .rng import STREAM_CONTRACT, RngStream
 from .stats import (
     ScanSpec,
     cue_variance_oracle,
@@ -231,9 +231,12 @@ def _cmd_semicircle_residual(args) -> int:
 
 def _cmd_oracle_cue(args) -> int:
     grid = _parse_grid(args.grid) if args.grid else tuple(np.linspace(0.0, 2.0 * math.pi, 13))
-    # forgive rounded grid endpoints like 6.2832
-    clamped = [min(max(L, 0.0), 2.0 * math.pi) for L in grid]
-    lines = [(L, cue_variance_oracle(args.n, L)) for L in clamped]
+    # forgive the rounding of a typed endpoint like 6.2832; the oracle
+    # refuses any arc farther outside [0, 2 pi]
+    rounded = [
+        min(max(L, 0.0), 2.0 * math.pi) if -1e-4 <= L <= 2.0 * math.pi + 1e-4 else L for L in grid
+    ]
+    lines = [(L, cue_variance_oracle(args.n, L)) for L in rounded]
     _emit_table("arc_length,variance", lines, args)
     return 0
 
@@ -258,12 +261,11 @@ def _cmd_sample(args) -> int:
     else:
         from scipy.linalg import eigvalsh_tridiagonal
 
-        for block in replica_blocks(args.samples):
-            diag, offdiag, _ = _stack_own_models(args.beta, args.n, args.seed, block)
-            for d, row, off in zip(block, diag, offdiag):
-                eigs = eigvalsh_tridiagonal(row, off) if args.n > 1 else row
-                for e in eigs:
-                    lines.append((d, float(e)))
+        for d in range(args.samples):
+            model = sample_tridiagonal(args.beta, args.n, RngStream(args.seed, d))
+            eigs = eigvalsh_tridiagonal(model.diag, model.offdiag) if args.n > 1 else model.diag
+            for e in eigs:
+                lines.append((d, float(e)))
         header = "draw,eigenvalue"
     _emit_table(header, lines, args)
     return 0
@@ -366,7 +368,8 @@ def main(argv=None) -> int:
         if hasattr(args, "workers"):  # the manifest records the resolved count
             args.workers = resolve_workers(args.workers)
         return args.func(args)
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:
+        # an OSError's message names its path, e.g. an --out stem in a missing directory
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import math
-from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -73,37 +72,30 @@ class CarouselParams:
     ell: int
 
 
-def _draw_step_major(draw, count: int, width: int, rng) -> np.ndarray:
+def _draw_step_major(draw, count: int, width: int) -> np.ndarray:
     """A (count, width) array stored step-major, as the .T view of a C-ordered
-    (width, count) one, holding the values that one draw(out, rng) call would
-    put into a C-ordered (count, width) array `out`.
+    (width, count) one, holding the values that one draw(out) call would put
+    into a C-ordered (count, width) array `out`.
 
     draw is called on consecutive chunks of DRAW_CHUNK rows of a reused
-    buffer, with the chunk's slice of rng if rng is a sequence of streams,
-    one per row; else with rng itself, one RngStream, so that draw must fill
-    its argument in order, as NumPy's `out=` samplers do.
+    buffer, so it must fill its argument in order, as NumPy's `out=`
+    samplers do.
     """
     block = np.empty((width, count)).T
     chunk = np.empty((min(DRAW_CHUNK, count), width))
     for lo in range(0, count, DRAW_CHUNK):
         rows = chunk[: min(DRAW_CHUNK, count - lo)]
-        draw(rows, rng[lo : lo + len(rows)] if isinstance(rng, Sequence) else rng)
+        draw(rows)
         block[lo : lo + len(rows)] = rows
     return block
 
 
-def _sample_tridiagonal_block(
-    beta: float, n: int, count: int, rng: RngStream | Sequence[RngStream]
-):
-    """Sample `count` independent tridiagonal models of size n, from one
-    stream for the whole block or from a sequence of `count` streams, one per
-    draw.
+def _sample_tridiagonal_block(beta: float, n: int, count: int, rng: RngStream):
+    """Sample `count` independent tridiagonal models of size n from one stream.
 
-    The draw order is part of the reproducibility contract. From one stream:
-    the diagonals (count, n) as N(0, 2/beta), then the off-diagonals
-    (count, n-1) as chi_{beta*(n-p)} / sqrt(beta), each in row-major order.
-    From one stream per draw: the draw's diagonal, then its off-diagonal, so
-    each row is the one-draw block of its own stream. Returns (diag
+    The draw order is part of the reproducibility contract: the diagonals
+    (count, n) as N(0, 2/beta), then the off-diagonals (count, n-1) as
+    chi_{beta*(n-p)} / sqrt(beta), each in row-major order. Returns (diag
     (count, n), offdiag (count, n-1)), both stored step-major (see
     _draw_step_major), so that a recursion across the draws reads one
     contiguous row per step.
@@ -115,12 +107,12 @@ def _sample_tridiagonal_block(
     sd, scale = math.sqrt(2.0 / beta), math.sqrt(beta)
     dof = beta * (n - np.arange(1, n, dtype=float))
 
-    def chi(out, streams):
-        chi_sample(dof, streams, out)
+    def chi(out):
+        chi_sample(dof, rng, out)
         out /= scale
 
-    diag = _draw_step_major(lambda out, streams: gaussian_sample(sd, streams, out), count, n, rng)
-    return diag, _draw_step_major(chi, count, n - 1, rng)
+    diag = _draw_step_major(lambda out: gaussian_sample(sd, rng, out), count, n)
+    return diag, _draw_step_major(chi, count, n - 1)
 
 
 def sample_tridiagonal(beta: float, n: int, rng: RngStream) -> TridiagonalModel:
@@ -134,16 +126,6 @@ def _stack_models(beta: float, n: int, master_seed: int, block: range):
     """Sample the replicas of `block` from the one stream addressed by its
     first index: (diag (C, n), offdiag (C, n-1))."""
     return _sample_tridiagonal_block(beta, n, len(block), RngStream(master_seed, block.start))
-
-
-def _stack_own_models(beta: float, n: int, master_seed: int, block: range):
-    """Sample each draw d of `block` from its own stream (master_seed, d), as
-    sample_tridiagonal does, with the same check of its entries: (diag
-    (C, n), offdiag (C, n-1), the C streams, each ready for its next draw)."""
-    streams = [RngStream(master_seed, d) for d in block]
-    diag, offdiag = _sample_tridiagonal_block(beta, n, len(block), streams)
-    _check_entries(diag, offdiag)
-    return diag, offdiag, streams
 
 
 def _conjugate_block(offdiag: np.ndarray):
@@ -363,18 +345,19 @@ def semicircle_residual(mu: float, n: int) -> float:
 def _cross_count_chunks(beta: float, n: int, draws: int, lams_per_draw: int, seed: int):
     """Both eigenvalue counters on random draws, one replica block at a time.
 
-    Draw d and its lams_per_draw uniform spectral points covering the
-    spectrum come from RngStream(seed, d). Yields, per block, the stacked
-    (diag, offdiag, lams) with one row per draw, the sweep counts and flags
-    (split at ell = n // 2), and the Sturm counts, each (C, lams_per_draw).
+    A block is drawn as a scan draws it, from RngStream(seed, block.start):
+    its models, checked as TridiagonalModel checks one, then its
+    (C, lams_per_draw) uniform spectral points covering the spectrum, one row
+    per draw. Yields, per block, (diag, offdiag, lams), the sweep counts and
+    flags (split at ell = n // 2), and the Sturm counts, each
+    (C, lams_per_draw).
     """
     half_width = 2.0 * math.sqrt(n) + 2.0
     for block in replica_blocks(draws):
-        diag, offdiag, streams = _stack_own_models(beta, n, seed, block)
-        # step-major, as _sample_tridiagonal_block stores a block
-        lams = np.empty((lams_per_draw, len(block))).T
-        for row, rng in zip(lams, streams):
-            row[:] = rng.generator.uniform(-half_width, half_width, lams_per_draw)
+        rng = RngStream(seed, block.start)
+        diag, offdiag = _sample_tridiagonal_block(beta, n, len(block), rng)
+        _check_entries(diag, offdiag)
+        lams = rng.generator.uniform(-half_width, half_width, (len(block), lams_per_draw))
         sweep, flags = _sweep_counts_block(diag, offdiag, lams, n // 2)
         yield diag, offdiag, lams, sweep, flags, _sturm_block(diag, offdiag, lams)
 

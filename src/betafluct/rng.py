@@ -4,7 +4,6 @@ that the Prufer, Sturm and sweep kernels count their per-step hits with."""
 from __future__ import annotations
 
 import math
-from collections.abc import Sequence
 
 import numpy as np
 
@@ -13,7 +12,10 @@ import numpy as np
 #   v1: one RngStream per replica, addressed by the replica index.
 #   v2: one RngStream per block of replicas, addressed by the index of the
 #       block's first replica; the block's draws are taken as whole arrays.
-STREAM_CONTRACT = 2
+#   v3: the GbetaE cross-check's blocks follow the same layout, its levels
+#       drawn from the block's stream after the models (it drew each draw
+#       and its levels from a stream of its own).
+STREAM_CONTRACT = 3
 # Replicas are drawn and processed in blocks of this many consecutive
 # indices, each block from one stream, so the block size is part of the
 # stream contract.
@@ -39,37 +41,24 @@ class RngStream:
 
 
 # Each sampler fills its `out`, a C-contiguous float array that its parameter
-# broadcasts to, in place and returns it. gaussian_sample and chi_sample also
-# take a sequence of streams, one per row of out: each row is drawn from its
-# own stream, and the transform runs once over all of out.
-def _generator_rows(rng: RngStream | Sequence[RngStream], out: np.ndarray):
-    """(generator, array) pairs that cover out: all of it from one RngStream,
-    or row i from the stream rng[i]."""
-    if isinstance(rng, Sequence):
-        return zip((stream.generator for stream in rng), out, strict=True)
-    return ((rng.generator, out),)
-
-
-def gaussian_sample(sd, rng: RngStream | Sequence[RngStream], out: np.ndarray) -> np.ndarray:
+# broadcasts to, in place and returns it.
+def gaussian_sample(sd, rng: RngStream, out: np.ndarray) -> np.ndarray:
     """N(0, sd^2) draws, each sd * standard_normal; sd = 0 fills zeros."""
     if np.any(np.asarray(sd) < 0):
         raise ValueError("standard deviation must be non-negative")
-    for generator, rows in _generator_rows(rng, out):
-        generator.standard_normal(out=rows)
+    rng.generator.standard_normal(out=out)
     out *= sd
     return out
 
 
-def chi_sample(u, rng: RngStream | Sequence[RngStream], out: np.ndarray) -> np.ndarray:
+def chi_sample(u, rng: RngStream, out: np.ndarray) -> np.ndarray:
     """Chi draws with u > 0 (possibly non-integer) degrees of freedom, by the
     identity chi_u = sqrt(2 * Gamma(u/2)); the gamma sampler handles every
     real shape, including shape < 1."""
     u = np.asarray(u, dtype=float)
     if np.any(u <= 0):
         raise ValueError("chi degrees of freedom must be positive")
-    shape = u / 2.0
-    for generator, rows in _generator_rows(rng, out):
-        generator.standard_gamma(shape, out=rows)
+    rng.generator.standard_gamma(u / 2.0, out=out)
     # in place: a second (count, n-1) array would raise a block's peak memory
     out *= 2.0
     return np.sqrt(out, out=out)

@@ -431,8 +431,8 @@ def regularity_profile(
     stable as the window grows; the draws have the minimal window size
     n = min_window_size(x_max).
     """
-    if x_max < 1.0:
-        raise ValueError(f"x_max must be at least 1, got {x_max}")
+    if not 1.0 <= x_max < math.inf:
+        raise ValueError(f"x_max must be at least 1 and finite, got {x_max}")
     if m < 1:
         raise ValueError(f"need at least 1 draw, got {m}")
     n = min_window_size(x_max)

@@ -89,9 +89,9 @@ def test_tracer_counts_sweep_steps():
 
 
 def test_tracer_counts_a_traced_cross_check():
-    # the tracer replaces gaussian.RngStream with a wrapper function, so the
-    # cross-check, which builds one stream per draw, must not test a value
-    # against that name; the counts match an untraced run
+    # the tracer replaces gaussian.RngStream with a wrapper function; the
+    # cross-check draws its one block from one stream, and the counts match
+    # an untraced run
     c, n, k = 5, 9, 3
     untraced = gaussian.verify_counts(2.0, n, c, k, 1)
     tracer = _load_tracer().Tracer()
@@ -101,6 +101,6 @@ def test_tracer_counts_a_traced_cross_check():
     finally:
         tracer.uninstall()
     assert traced == untraced
-    assert tracer.counters["rng.streams"] == c
+    assert tracer.counters["rng.streams"] == 1
     for key in ("gaussian.sturm_steps", "gaussian.sweep_steps"):
         assert tracer.counters[key] == c * k * n

@@ -34,6 +34,18 @@ def test_oracle_cue_single_point_column(tmp_path, capsys):
         assert float(var_s) == pytest.approx(p * (1 - p), abs=1e-8)
 
 
+def test_oracle_cue_forgives_only_the_rounding_of_an_endpoint(capsys):
+    # an arc within 1e-4 of [0, 2 pi] is read as the endpoint; one farther
+    # out is refused
+    assert main(["oracle-cue", "--n", "3", "--grid=-0.00009:6.28327:2"]) == 0
+    rows = [line.split(",") for line in capsys.readouterr().out.splitlines()[1:]]
+    assert [float(arc) for arc, _ in rows] == [0.0, TWO_PI]
+    assert [float(var) for _, var in rows] == [0.0, 0.0]
+    for grid in ("--grid=-0.0002:1:2", "--grid=1:6.2834:2"):
+        assert main(["oracle-cue", "--n", "3", grid]) == 2, grid
+        assert "arc length must lie in [0, 2*pi]" in capsys.readouterr().err, grid
+
+
 def test_verify_count_reports_zero_mismatches(capsys):
     rc = main(["verify-count", "--beta", "2", "--n", "64", "--samples", "100", "--seed", "7"])
     captured = capsys.readouterr()
@@ -65,7 +77,7 @@ def test_scan_cbe_schema_and_reproducibility(tmp_path):
     assert manifest["command"] == "scan-cbe"
     assert manifest["master_seed"] == 3
     assert "duration_s" in manifest and "version" in manifest
-    assert manifest["stream_contract"] == 2
+    assert manifest["stream_contract"] == 3
     assert "start_time" not in manifest["params"]
     assert manifest["grid"][0] == 1.0
 
@@ -228,8 +240,8 @@ def test_sample_commands(tmp_path, capsys):
 
 
 def test_sample_gbe_draws_each_replica_from_its_own_stream(tmp_path):
-    # draws past the first replica block, sampled a block at a time, are
-    # still draw d of the stream (seed, d)
+    # draw d is the one-draw sample of the stream (seed, d), also past the
+    # first replica block of the scans
     from scipy.linalg import eigvalsh_tridiagonal
 
     from betafluct.gaussian import sample_tridiagonal
@@ -256,7 +268,7 @@ def test_sample_small_beta_exits_0(capsys):
         assert "error" not in capsys.readouterr().err
 
 
-def test_usage_errors_exit_2(capsys):
+def test_usage_errors_exit_2(tmp_path, capsys):
     assert main(["scan-cbe", "--badflag"]) == 2
     assert main(["nonsense-command"]) == 2
     assert main(["scan-cbe", "--beta", "-1", "--samples", "10"]) == 2
@@ -310,6 +322,11 @@ def test_usage_errors_exit_2(capsys):
         (["scan-cbe", "--grid", "geom:1:inf:3", "--samples", "10"],
          "grid endpoints must be finite, got inf"),
         (["oracle-cue", "--grid", "geom:1:inf:2"], "grid endpoints must be finite, got inf"),
+        # only the rounding of a typed 2 pi is forgiven, not an arc past it
+        (["oracle-cue", "--grid", "0:20:5"], "arc length must lie in [0, 2*pi], got 10.0"),
+        # an output stem in a missing directory is named, not a traceback
+        (["oracle-cue", "--n", "4", "--out", str(tmp_path / "missing" / "x")],
+         str(tmp_path / "missing" / "x.csv")),
         (["verify-count", "--beta", "nan", "--samples", "10"],
          "beta must be positive and finite, got nan"),
         (["sample", "--ensemble", "cbe", "--beta", "inf", "--samples", "1"],

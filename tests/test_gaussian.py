@@ -166,24 +166,6 @@ def test_block_sampler_matches_direct_generator_calls(count, n):
     assert diag.T.flags.c_contiguous and offdiag.T.flags.c_contiguous
 
 
-@settings(max_examples=20, derandomize=True, deadline=None)
-@given(
-    beta=st.floats(0.25, 6.0),
-    n=st.sampled_from([1, 2, 40]),
-    count=st.sampled_from([DRAW_CHUNK - 1, DRAW_CHUNK, DRAW_CHUNK + 1, 2 * DRAW_CHUNK + 3]),
-    seed=st.integers(0, 2**32 - 1),
-)
-def test_block_sampler_with_one_stream_per_draw_matches_one_draw_calls(beta, n, count, seed):
-    # row d, drawn a chunk at a time from its own stream, is bit for bit the
-    # one-draw sample of that stream
-    streams = [RngStream(seed, d) for d in range(count)]
-    diag, offdiag = _sample_tridiagonal_block(beta, n, count, streams)
-    assert diag.T.flags.c_contiguous and offdiag.T.flags.c_contiguous
-    for d in range(count):
-        model = sample_tridiagonal(beta, n, RngStream(seed, d))
-        assert np.array_equal(diag[d], model.diag) and np.array_equal(offdiag[d], model.offdiag)
-
-
 def test_stack_models_block_addressing():
     block = range(2048, 2048 + 300)
     d1, o1 = _stack_models(1.5, 12, 83, block)
@@ -749,9 +731,15 @@ def test_verify_counts_across_a_chunk_boundary():
     draws = BLOCK_SIZE + 5
     chunks = list(_cross_count_chunks(1.0, 6, draws, 3, 57))
     assert [c[0].shape[0] for c in chunks] == [BLOCK_SIZE, 5]
-    # the first draw past the boundary is still addressed by its own index
-    model = sample_tridiagonal(1.0, 6, RngStream(57, BLOCK_SIZE))
-    assert np.array_equal(chunks[1][0][0], model.diag)
+    # each chunk is drawn as a scan draws a block, from the stream of its
+    # first index: the models, then the levels, one row per draw
+    half_width = 2.0 * math.sqrt(6) + 2.0
+    for chunk, block in zip(chunks, (range(BLOCK_SIZE), range(BLOCK_SIZE, draws)), strict=True):
+        rng = RngStream(57, block.start)
+        diag, offdiag = _sample_tridiagonal_block(1.0, 6, len(block), rng)
+        lams = rng.generator.uniform(-half_width, half_width, (len(block), 3))
+        for got, expected in zip(chunk[:3], (diag, offdiag, lams)):
+            assert np.array_equal(got, expected)
     mismatches, flagged = verify_counts(1.0, 6, draws=draws, lams_per_draw=3, seed=57)
     assert mismatches == 0
     assert flagged == sum(int(np.sum(c[4])) for c in chunks)

@@ -1,7 +1,7 @@
 """Source hygiene, read from the syntax tree: every public name in the package
 has a reader, no module imports a name it never reads, no parameter is
-constant across every call that reaches its function, and one function runs
-a process pool."""
+constant across every call that reaches its function, one function runs a
+process pool, and every sampler takes one stream."""
 
 import ast
 import pathlib
@@ -15,7 +15,6 @@ TESTED_ONLY = {
     "prufer_evaluate": "psi_k(theta, a) of one draw: monotone, 2pi-equivariant, a martingale",
     "sturm_count": "one draw's pivot count: small matrices, dense eigenvalues, shift invariance",
     "phase_sweep": "one draw's sweep count: independent of the split, flagged on an eigenvalue",
-    "sample_tridiagonal": "one GbetaE draw: the semicircle law, bounded backward-phase drift",
     "fit_log_bound": "the slope and max ratio of the logarithmic bound (criteria 3 and 7)",
     "regularity_profile": "criterion 8's regularity statistic",
 }
@@ -227,3 +226,10 @@ def test_one_pooled_runner():
     stats = trees[PACKAGE / "stats.py"]
     (runner,) = [node for node in stats.body if getattr(node, "name", None) == "_run_ordered"]
     assert constructions(stats) == constructions(runner) == 1
+
+
+def test_one_stream_form():
+    # every sampler takes one RngStream: no module names Sequence, the type a
+    # second call form, one stream per draw, would take
+    named = [path.name for path, tree in _trees(PACKAGE).items() if "Sequence" in _named(tree)]
+    assert named == []

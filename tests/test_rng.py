@@ -79,18 +79,6 @@ def test_chi_block_and_vector_calls_equal_one_draw_calls():
     assert np.array_equal(block, one.reshape(5, 4)) and np.array_equal(rows, block)
 
 
-def test_one_stream_per_row_draws_each_row_from_its_stream():
-    # row i of a call with a sequence of streams is what a one-row call on
-    # stream i draws; a sequence that does not match the rows is refused
-    u = np.array([0.4, 1.0, 3.3, 9.0])
-    for sample, arg in ((gaussian_sample, 1.5), (chi_sample, u)):
-        rows = sample(arg, [RngStream(9, i) for i in range(5)], np.empty((5, 4)))
-        for i in range(5):
-            assert np.array_equal(rows[i], sample(arg, RngStream(9, i), np.empty(4)))
-        with pytest.raises(ValueError):
-            sample(arg, [RngStream(9, i) for i in range(4)], np.empty((5, 4)))
-
-
 def test_chunked_draws_replay_generator_calls():
     # filling a C-contiguous array in chunks gives, bit for bit, what one
     # whole-array Generator call and the sampler's arithmetic give

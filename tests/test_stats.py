@@ -394,6 +394,10 @@ def test_tail_and_regularity_need_a_replica():
         tail_check(2.0, 10, m=0, seed=0)
     with pytest.raises(ValueError, match="at least 1 draw"):
         regularity_profile(2.0, 10.0, m=0, seed=0)
+    # a non-finite window is named, not passed on to math.ceil
+    for x_max in (math.inf, math.nan):
+        with pytest.raises(ValueError, match=f"x_max must be at least 1 and finite, got {x_max}"):
+            regularity_profile(2.0, x_max, m=4, seed=1)
 
 
 def test_tail_check_worker_invariance():

@@ -33,7 +33,7 @@ def _sturm_counts():
 
 
 def _cross_check_counts():
-    # the one-draw sampler's path: sweep and Sturm counts of each draw
+    # sweep and Sturm counts of each draw of one block
     chunks = _cross_count_chunks(0.5, 60, 300, 20, 63)
     return np.concatenate([np.stack([sweep, sturm]) for *_, sweep, _, sturm in chunks], axis=1)
 
@@ -59,7 +59,7 @@ CASES = {
     ),
     "cross-check counts": (
         _cross_check_counts,
-        "3700dd40402e1d060c45280861dcc27c67f90a258e20feff8074f3b117ba871b",
+        "fa4e578988112f634936801ec1e37dd5e6cd2b722c26918b8d3915d6de729864",
     ),
     "verify_counts": (
         lambda: verify_counts(0.5, 60, 300, 20, 63),
@@ -77,7 +77,7 @@ def _digest(values) -> str:
 
 
 def test_stream_contract_version():
-    assert STREAM_CONTRACT == 2
+    assert STREAM_CONTRACT == 3
 
 
 @pytest.mark.parametrize("case", sorted(CASES))
