@@ -47,25 +47,33 @@ RADIUS_CAP = 1.0 - 2.0**-50
 # stays below glibc's 128 KiB mmap threshold, so that forming it takes no
 # fresh pages.
 TILE_BYTES = 112 * 1024
+# Most bytes of coefficients, 16 per complex coefficient, that a block
+# runner draws and counts at once; a larger block is taken in row groups
+# (_row_groups). 32 MiB is glibc's ceiling for its dynamic mmap threshold on
+# 64-bit: no array above it is ever served from the heap, so each would be
+# fresh pages. On cbe-regularity's (1024, 2999) block, two groups of 512
+# rows took a run's peak RSS from 85.8 to 61.9 MB and its wall time up by
+# 6% (2 vCPUs), the cost of a Prufer kernel state half as wide.
+GROUP_BYTES = 32 * 2**20
 
 
-def _sample_verblunsky_block(beta: float, n: int, count: int, rng: RngStream):
-    """Sample coefficients for `count` independent circular beta ensembles of
-    n points from one stream.
+def _sample_verblunsky_block(beta: float, n: int, count: int, rng: RngStream, rows: range):
+    """Sample rows `rows` of a block of coefficients for `count` independent
+    circular beta ensembles of n points drawn from one stream.
 
     |gamma_j|^2 ~ Beta(1, beta*(n-j-1)/2) with uniform independent argument;
-    eta uniform on [0, 2*pi). The draw order is part of the reproducibility
-    contract: squared radii (count, n-1) by inverse CDF, then arguments
-    (count, n-1), then eta (count,). Returns (gamma (count, n-1) complex,
-    eta (count,)).
+    eta uniform on [0, 2*pi). The draw order of the whole block is part of
+    the reproducibility contract: squared radii (count, n-1) by inverse CDF,
+    then arguments (count, n-1), then eta (count,). Row r reads its radii at
+    offset r*(n-1) of the stream, its arguments at (count + r)*(n-1) and its
+    eta at 2*count*(n-1) + r, each from a copy moved ahead (RngStream.ahead),
+    so any rows give the values they have in the whole block. Returns
+    (gamma (len(rows), n-1) complex, eta (len(rows),)).
 
-    The block holds two floats per coefficient. The squared radii are drawn
-    into the back half of gamma's own float buffer, and gamma is built over
-    them in chunks of rows, each chunk's buffers TILE_BYTES long: a chunk
-    copies its radius rows out, draws its arguments (in row order, which
-    gives the values of one (count, n-1) draw) and writes its rows of gamma
-    once. Rows [lo, hi) of gamma end at float 2*hi*(n-1) <= (count + hi)*(n-1),
-    so they never reach the radius rows of a later chunk.
+    gamma is built in chunks of rows, each chunk's buffers TILE_BYTES long:
+    a chunk draws its radii and its arguments and writes its rows of gamma
+    once. The whole block reads its radii from rng itself and its arguments
+    and eta from one copy.
 
     The radius is capped at RADIUS_CAP = 1 - 2^-50, so every coefficient lies
     in the open unit disc. At beta >= 2 the cap binds with probability below
@@ -79,18 +87,23 @@ def _sample_verblunsky_block(beta: float, n: int, count: int, rng: RngStream):
         raise ValueError(f"beta must be positive and finite, got {beta}")
     if n < 1:
         raise ValueError(f"n must be at least 1, got {n}")
-    size = (count, n - 1)
-    gamma = np.empty(size, dtype=complex)
-    radius_sq = gamma.view(float).reshape(-1)[count * (n - 1) :].reshape(size)
-    beta_1s_sample(0.5 * beta * (n - 1.0 - np.arange(n - 1)), rng, radius_sq)
-    rows = max(1, min(count, TILE_BYTES // (8 * max(n - 1, 1))))
-    buffers = [np.empty((rows, n - 1)) for _ in range(4)]
-    for lo in range(0, count, rows):
-        g = gamma[lo : lo + rows]
+    if not (rows.step == 1 and 0 <= rows.start <= rows.stop <= count):
+        raise ValueError(f"rows {rows} are not a run of rows of a {count}-draw block")
+    width = n - 1
+    radii = rng if rows.start == 0 else rng.ahead(rows.start * width)
+    args = rng.ahead((count + rows.start) * width)
+    etas = args if rows == range(count) else rng.ahead(2 * count * width + rows.start)
+    s = 0.5 * beta * (n - 1.0 - np.arange(width))
+    gamma = np.empty((len(rows), width), dtype=complex)
+    chunk = max(1, min(len(rows), TILE_BYTES // (8 * max(width, 1))))
+    buffers = [np.empty((chunk, width)) for _ in range(4)]
+    for lo in range(0, len(rows), chunk):
+        g = gamma[lo : lo + chunk]
         r, t, sq, re = (buf[: len(g)] for buf in buffers)
-        np.sqrt(radius_sq[lo : lo + len(g)], out=r)
+        beta_1s_sample(s, radii, r)
+        np.sqrt(r, out=r)
         np.minimum(r, RADIUS_CAP, out=r)
-        rng.generator.random(out=t)
+        args.generator.random(out=t)
         t *= math.pi
         np.tan(t, out=t)
         np.multiply(t, t, out=sq)
@@ -100,14 +113,24 @@ def _sample_verblunsky_block(beta: float, n: int, count: int, rng: RngStream):
         np.multiply(re, r, out=g.real)
         t *= 2.0
         np.multiply(t, r, out=g.imag)
-    eta = TWO_PI * rng.generator.random(count)
+    eta = TWO_PI * etas.generator.random(len(rows))
     return gamma, eta
+
+
+def _row_groups(block: range, n: int) -> list[range]:
+    """The fewest near-equal runs of block's replicas whose coefficients,
+    16*(n-1) bytes a replica, take at most GROUP_BYTES each; a replica that
+    alone takes more is a group of its own."""
+    per_group = max(1, GROUP_BYTES // (16 * max(n - 1, 1)))
+    groups = -(-len(block) // per_group)
+    cuts = [block.start + len(block) * i // groups for i in range(groups + 1)]
+    return [range(lo, hi) for lo, hi in zip(cuts, cuts[1:])]
 
 
 def sample_verblunsky(beta: float, n: int, rng: RngStream) -> VerblunskyDraw:
     """Sample coefficients for a circular beta ensemble of n points: the
     one-draw case of the block sampler, with the same draw order."""
-    gamma, eta = _sample_verblunsky_block(beta, n, 1, rng)
+    gamma, eta = _sample_verblunsky_block(beta, n, 1, rng, range(1))
     return VerblunskyDraw(gamma=gamma[0], eta=float(eta[0]))
 
 
@@ -209,18 +232,20 @@ def _final_phases(gamma: np.ndarray, thetas: np.ndarray, a: float = 0.0) -> np.n
     Each step is eight real (K, C) passes with one division, and alpha and
     delta are formed in step-major tiles of TILE_BYTES each. The start is
     (k0, t0) of theta + a, and psi_J = 2*pi*(k0 + J*m + k) + pi + 2*arctan(t).
-    A t of +-inf entering a rotation becomes NaN, so the draws where that
-    happened (a phase exactly on a sheet boundary) are run again with the
-    careful step of _chart_steps.
+    A t of +-inf entering a rotation becomes NaN, so the levels and draws
+    where that happened (a phase exactly on a sheet boundary) are run again,
+    those levels of those draws only, with the careful step of _chart_steps.
     """
     depth = gamma.shape[1]
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         k0, t0 = _chart_start(thetas + a)
         m, tau = _chart_rotation(thetas)
         t, turns = _chart_steps(gamma, tau, t0, careful=False)
-        lost = np.isnan(t).any(axis=0)
-        if lost.any():
-            t[:, lost], turns[:, lost] = _chart_steps(gamma[lost], tau, t0, careful=True)
+        nan = np.isnan(t)
+        if nan.any():
+            levels, draws = nan.any(axis=1), nan.any(axis=0)
+            lost = np.ix_(levels, draws)
+            t[lost], turns[lost] = _chart_steps(gamma[draws], tau[levels], t0[levels], careful=True)
     sheets = np.sign(tau)[:, None] * turns + (k0 + depth * m)[:, None]
     return (TWO_PI * sheets + (math.pi + 2.0 * np.arctan(t))).T
 
@@ -321,10 +346,20 @@ def sine_beta_window(beta: float, x_max: float, n: int | None, rng: RngStream) -
     return np.sort(n * thetas)
 
 
-def _stack_draws(beta: float, n: int, master_seed: int, block: range):
-    """Sample the replicas of `block` from the one stream addressed by its
-    first index: (gamma (C, n-1) complex, eta (C,))."""
-    return _sample_verblunsky_block(beta, n, len(block), RngStream(master_seed, block.start))
+def _stack_draws(beta: float, n: int, master_seed: int, rows: range, block: range | None = None):
+    """Sample the replicas `rows` of `block` (by default rows is the whole
+    block) from the one stream addressed by the block's first index, with
+    the values they have in the whole block: (gamma (C, n-1) complex,
+    eta (C,)) for the C replicas of rows."""
+    if block is None:
+        block = rows
+    return _sample_verblunsky_block(
+        beta,
+        n,
+        len(block),
+        RngStream(master_seed, block.start),
+        range(rows.start - block.start, rows.stop - block.start, rows.step),
+    )
 
 
 def _count_arcs_block(gamma: np.ndarray, eta: np.ndarray, n: int, xs: np.ndarray) -> np.ndarray:

@@ -3,6 +3,7 @@ that the Prufer, Sturm and sweep kernels count their per-step hits with."""
 
 from __future__ import annotations
 
+import copy
 import math
 
 import numpy as np
@@ -34,10 +35,22 @@ class RngStream:
     def __init__(self, master_seed: int, stream_index: int):
         if stream_index < 0:
             raise ValueError(f"stream_index must be non-negative, got {stream_index}")
-        seq = np.random.SeedSequence(
+        self._seq = np.random.SeedSequence(
             entropy=int(master_seed) & 0xFFFFFFFFFFFFFFFF, spawn_key=(int(stream_index),)
         )
-        self.generator = np.random.default_rng(seq)
+        self.generator = np.random.default_rng(self._seq)
+
+    def ahead(self, k: int) -> RngStream:
+        """The stream k uniform doubles further on, which this one does not
+        move to: a copy of its PCG64 state advanced by k outputs. It relies
+        on Generator.random taking exactly one 64-bit output per float64."""
+        source = self.generator.bit_generator
+        bit_generator = type(source)(self._seq)
+        bit_generator.state = source.state
+        bit_generator.advance(k)
+        stream = copy.copy(self)
+        stream.generator = np.random.Generator(bit_generator)
+        return stream
 
 
 # Each sampler fills its `out`, a C-contiguous float array that its parameter

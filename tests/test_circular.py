@@ -6,7 +6,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.stats import chi2_contingency, kstest, unitary_group
 
+from betafluct import circular
 from betafluct.circular import (
+    GROUP_BYTES,
     RADIUS_CAP,
     TILE_BYTES,
     VerblunskyDraw,
@@ -19,6 +21,7 @@ from betafluct.circular import (
     _chart_rotation,
     _chart_start,
     _final_phases,
+    _row_groups,
     _sample_verblunsky_block,
     _stack_draws,
     _count_arcs_block,
@@ -100,7 +103,7 @@ def test_block_matches_cos_sin_construction(beta, n):
     # then eta. The tan-based unit factor agrees with cos + i sin to within a
     # few roundings, and eta is the same draw bit for bit.
     count = 2048
-    gamma, eta = _sample_verblunsky_block(beta, n, count, RngStream(83, 0))
+    gamma, eta = _sample_verblunsky_block(beta, n, count, RngStream(83, 0), range(count))
     gen = RngStream(83, 0).generator
     s = 0.5 * beta * (n - 1.0 - np.arange(n - 1))
     radius = np.minimum(np.sqrt(1.0 - gen.random((count, n - 1)) ** (1.0 / s)), RADIUS_CAP)
@@ -119,17 +122,17 @@ CHUNK_ROWS_64 = 227
     "n, count",
     [(n, c) for n in (1, 2, 64) for c in (1, 127, 128, 129, 300)]
     + [(64, c) for c in (226, 227, 228, 500)]
-    # at n = 3000 a chunk is 4 rows, and a chunk's gamma rows overlap its own
-    # radius rows in gamma's buffer: all of them for C <= 3, the last one
-    # at C = 5
+    # at n = 3000 a chunk is 4 rows: blocks of one, part of one and more
+    # than one chunk
     + [(3000, c) for c in (1, 2, 3, 5)],
 )
 def test_block_sampler_draws_arguments_in_chunks_as_one_draw(n, count):
     # replay the stream by hand: one (count, n-1) radius draw, then the
     # arguments as one (count, n-1) draw, then eta. The sampler's chunks of
-    # rows, built over the radii in gamma's own buffer, give gamma bit for bit.
+    # rows, each drawing its radii next to its arguments, give gamma bit for
+    # bit.
     assert TILE_BYTES // (8 * 63) == CHUNK_ROWS_64
-    gamma, eta = _sample_verblunsky_block(1.5, n, count, RngStream(85, 3))
+    gamma, eta = _sample_verblunsky_block(1.5, n, count, RngStream(85, 3), range(count))
     rng = RngStream(85, 3)
     s = 0.5 * 1.5 * (n - 1.0 - np.arange(n - 1))
     radius = np.minimum(np.sqrt(beta_1s_sample(s, rng, np.empty((count, n - 1)))), RADIUS_CAP)
@@ -142,19 +145,68 @@ def test_block_sampler_draws_arguments_in_chunks_as_one_draw(n, count):
     assert np.array_equal(eta, TWO_PI * rng.generator.random(count))
 
 
-def test_block_sampler_peak_memory():
-    # cbe-regularity's block, (C, n) = (1024, 3000): the sampler holds gamma,
-    # two (C, n-1) floats of 24.6 MB each, with the radii drawn into its back
-    # half, and chunk buffers of TILE_BYTES each. Its peak reads 2.05 such
-    # arrays: rows [lo, hi) of gamma end at float 2*hi*(n-1) <= (C+hi)*(n-1),
-    # so the radii need no array of their own.
-    tracemalloc.start()
-    try:
-        _sample_verblunsky_block(2.0, 3000, 1024, RngStream(86, 0))
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 2.1 * 1024 * 2999 * 8, peak
+class _CountingStream(RngStream):
+    """An RngStream that counts the copies it and its copies make."""
+
+    def __init__(self, copies):
+        super().__init__(87, 2)
+        self.copies = copies
+
+    def ahead(self, k):
+        self.copies.append(k)
+        return super().ahead(k)
+
+
+@pytest.mark.parametrize("n", (1, 2, 64))
+@pytest.mark.parametrize(
+    "rows", [range(0, 300), range(0, 1), range(0, 127), range(5, 6), range(40, 211), range(299, 300)]
+)
+def test_block_rows_are_the_rows_of_the_whole_block(n, rows):
+    # any run of rows reads its radii, arguments and eta at their offsets in
+    # the block's stream and gives those rows of the whole block bit for bit;
+    # the whole block makes one stream copy, a part of it at most three
+    whole_gamma, whole_eta = _sample_verblunsky_block(0.8, n, 300, RngStream(87, 2), range(300))
+    copies = []
+    gamma, eta = _sample_verblunsky_block(0.8, n, 300, _CountingStream(copies), rows)
+    assert np.array_equal(gamma.view(float), whole_gamma[rows.start : rows.stop].view(float))
+    assert np.array_equal(eta, whole_eta[rows.start : rows.stop])
+    assert len(copies) == (1 if len(rows) == 300 else 2 if rows.start == 0 else 3)
+
+
+def test_block_rows_must_lie_in_the_block():
+    for rows in (range(-1, 3), range(2, 6), range(0, 4, 2)):
+        with pytest.raises(ValueError, match="rows"):
+            _sample_verblunsky_block(2.0, 8, 5, RngStream(0, 0), rows)
+
+
+@pytest.mark.parametrize("group_bytes", (1, 16 * 63 * 7 + 5, 2**20))
+@pytest.mark.parametrize("n", (1, 2, 64))
+def test_row_groups_joined_are_the_block(monkeypatch, n, group_bytes):
+    # with GROUP_BYTES made tiny (one-row groups at 1 byte), the groups of a
+    # block joined give its gamma and eta bit for bit; they are the fewest
+    # near-equal runs that keep a group's coefficients within GROUP_BYTES
+    monkeypatch.setattr(circular, "GROUP_BYTES", group_bytes)
+    block = range(2048, 2048 + 300)
+    groups = _row_groups(block, n)
+    row_bytes = 16 * max(n - 1, 1)
+    per_group = max(1, group_bytes // row_bytes)
+    assert len(groups) == -(-len(block) // per_group)
+    assert [r for g in groups for r in g] == list(block)
+    sizes = {len(g) for g in groups}
+    assert max(sizes) - min(sizes) <= 1 and max(sizes) <= per_group
+    parts = [_stack_draws(1.5, n, 88, rows, block) for rows in groups]
+    gamma, eta = _stack_draws(1.5, n, 88, block)
+    assert np.array_equal(np.concatenate([g for g, _ in parts]).view(float), gamma.view(float))
+    assert np.array_equal(np.concatenate([e for _, e in parts]), eta)
+
+
+def test_row_groups_stay_under_group_bytes():
+    # cbe-regularity's (1024, 2999) block takes two groups of 512 rows, a
+    # sine scan's n = 4096 block four of 512, and a block that fits one
+    assert _row_groups(range(1024), 3000) == [range(0, 512), range(512, 1024)]
+    assert [len(g) for g in _row_groups(range(4096, 6144), 4096)] == [512] * 4
+    assert _row_groups(range(2048, 4096), 64) == [range(2048, 4096)]
+    assert 512 * 16 * 4095 <= GROUP_BYTES
 
 
 class _StubGenerator:
@@ -172,20 +224,41 @@ class _StubGenerator:
         return out
 
 
+class _StubStream:
+    """A stream whose copies k doubles ahead hand out the preset uniforms
+    that `draws` lists under offset k."""
+
+    def __init__(self, draws, offset=0):
+        self.draws = draws
+        self.generator = _StubGenerator(*draws.get(offset, ()))
+
+    def ahead(self, k):
+        return _StubStream(self.draws, k)
+
+
 def test_block_argument_edges():
-    # at beta = 2, n = 2 the radius is sqrt(1 - U); U = 0.25 gives sqrt(0.75)
+    # at beta = 2, n = 2 the radius is sqrt(1 - U); U = 0.25 gives sqrt(0.75).
+    # The whole block of five reads its radii at offset 0, its arguments at 5
+    # and its eta at 10; rows 1-3 read each at their own offsets.
     args = np.array([0.0, 0.5, 0.5 - 2.0**-53, 0.5 + 2.0**-53, 1.0 - 2.0**-53])
-    rng = RngStream(0, 0)
-    rng.generator = _StubGenerator(np.full((5, 1), 0.25), args[:, None], np.zeros(5))
-    gamma, _ = _sample_verblunsky_block(2.0, 2, 5, rng)
     radius = math.sqrt(0.75)
-    # U = 0: exactly the radius on the positive axis
-    assert gamma[0, 0].real == radius and gamma[0, 0].imag == 0.0
-    # U next to 1/2, where t = tan(pi U) is about 1.6e16: finite, on the
-    # circle of the radius to 1 ulp
-    assert np.all(np.isfinite(gamma))
-    assert np.all(np.abs(np.abs(gamma[:, 0]) - radius) <= np.spacing(radius))
-    assert np.all(np.abs(gamma[1:4, 0] + radius) <= 2e-15)
+    for rows in (range(0, 5), range(1, 4)):
+        lo, hi = rows.start, rows.stop
+        radii, eta = np.full((hi - lo, 1), 0.25), np.zeros(hi - lo)
+        if len(rows) == 5:
+            draws = {0: [radii], 5: [args[:, None], eta]}
+        else:
+            draws = {lo: [radii], 5 + lo: [args[lo:hi, None]], 10 + lo: [eta]}
+        gamma, _ = _sample_verblunsky_block(2.0, 2, 5, _StubStream(draws), rows)
+        row = dict(zip(rows, gamma[:, 0]))
+        # U = 0: exactly the radius on the positive axis
+        if 0 in row:
+            assert row[0].real == radius and row[0].imag == 0.0
+        # U next to 1/2, where t = tan(pi U) is about 1.6e16: finite, on the
+        # circle of the radius to 1 ulp
+        assert np.all(np.isfinite(gamma)), rows
+        assert np.all(np.abs(np.abs(gamma[:, 0]) - radius) <= np.spacing(radius)), rows
+        assert all(abs(row[r] + radius) <= 2e-15 for r in (1, 2, 3)), rows
 
 
 def test_small_beta_coefficients_stay_in_open_disc():
@@ -450,7 +523,7 @@ def test_beta2_arc_counts_match_haar_unitaries():
     # coefficients (chi-square homogeneity of the two value tables, per arc)
     n, m = 8, 20000
     xs = np.array([2.0, 8.0, 20.0])
-    gamma, eta = _sample_verblunsky_block(2.0, n, m, RngStream(4711, 0))
+    gamma, eta = _sample_verblunsky_block(2.0, n, m, RngStream(4711, 0), range(m))
     cbe = _count_arcs_block(gamma, eta, n, xs)
     unitaries = unitary_group.rvs(n, size=m, random_state=2718)
     angles = np.mod(np.angle(np.linalg.eigvals(unitaries)), TWO_PI)[:, :, None]
@@ -604,6 +677,27 @@ def test_final_phases_levels_on_a_sheet_boundary(a):
     if a == 0.0:
         # u = 1 is fixed by every step at theta = 0
         assert np.all(got[:, 0] == 0.0)
+
+
+def test_final_phases_reruns_only_the_lost_levels(monkeypatch):
+    # theta = 0 at a = 0 puts every draw on a sheet boundary at that one
+    # level: the careful rerun takes that level alone, and the joint call
+    # still gives each level's phases bit for bit
+    gamma, _ = _stack_draws(2.0, 64, 54, range(300))
+    thetas = np.array([0.0, 0.01, 0.02, 0.05])
+    singles = [_final_phases(gamma, thetas[k : k + 1]) for k in range(len(thetas))]
+    calls = []
+
+    def recording(gamma, tau, t0, careful):
+        calls.append((careful, gamma.shape[0], tau.size))
+        return chart_steps(gamma, tau, t0, careful)
+
+    chart_steps = circular._chart_steps
+    monkeypatch.setattr(circular, "_chart_steps", recording)
+    got = _final_phases(gamma, thetas)
+    assert calls == [(False, 300, 4), (True, 300, 1)]
+    assert np.array_equal(got, np.concatenate(singles, axis=1))
+    assert np.all(got[:, 0] == 0.0)
 
 
 def _boundary_case(theta, landing):

@@ -208,7 +208,8 @@ def _named(tree) -> set[str]:
 
 def test_one_pooled_runner():
     # stats._run_ordered is the one pooled runner: no other module names a
-    # process pool, and stats.py constructs one only there
+    # process pool, and stats.py constructs one, and picks its start
+    # method, only there
     trees = _trees(PACKAGE)
     pooled = [
         path.name
@@ -226,6 +227,7 @@ def test_one_pooled_runner():
     stats = trees[PACKAGE / "stats.py"]
     (runner,) = [node for node in stats.body if getattr(node, "name", None) == "_run_ordered"]
     assert constructions(stats) == constructions(runner) == 1
+    assert _reads(stats).count("get_context") == _reads(runner).count("get_context") == 1
 
 
 def test_one_stream_form():

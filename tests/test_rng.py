@@ -180,6 +180,22 @@ def test_mixed_operation_sequence_replays():
         assert np.array_equal(x, y)
 
 
+@pytest.mark.parametrize("k", (0, 1, 63, 2 * 2048 * 4095 + 5))
+def test_ahead_reads_the_stream_at_an_offset(k):
+    # Generator.random takes one 64-bit output per float64, so a copy
+    # advanced by k outputs reads what one draw reads from place k on; the
+    # last k is past both coefficient halves of an n = 4096 block
+    r = 7
+    rng = RngStream(17, 5)
+    head = rng.generator.random(3)
+    ahead = rng.ahead(k).generator.random(r)
+    one = RngStream(17, 5).generator.random(3 + k + r)
+    assert np.array_equal(head, one[:3])
+    assert np.array_equal(ahead, one[-r:])
+    # the stream itself has not moved
+    assert np.array_equal(rng.generator.random(r), one[3 : 3 + r])
+
+
 def test_thread_count_does_not_change_streams():
     def draw(idx):
         return chi_sample(2.5, RngStream(42, idx), np.empty(256))

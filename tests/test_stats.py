@@ -4,12 +4,14 @@ import multiprocessing
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy.stats import norm, spearmanr
 
+from betafluct import circular
 from betafluct.circular import _count_arcs_block, _stack_draws
 from betafluct.cli import main
 from betafluct.rng import BLOCK_SIZE, RngStream, replica_blocks
@@ -235,6 +237,28 @@ def test_run_ordered_raises_a_task_error_and_leaves_no_child(bad):
     assert multiprocessing.active_children() == []
 
 
+def test_run_ordered_forks_its_pool(monkeypatch):
+    # a forked worker starts with the package loaded; on Linux the pool is
+    # asked for fork, which forkserver-default Pythons would not give it
+    import betafluct.stats as stats
+
+    real = stats.ProcessPoolExecutor
+    contexts = []
+
+    def recording(*args, **kwargs):
+        contexts.append(kwargs.get("mp_context"))
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(stats, "ProcessPoolExecutor", recording)
+    tasks = list(range(4))
+    assert [task for task, _ in _run_ordered(_task_and_pid, tasks, 2)] == tasks
+    (context,) = contexts
+    if sys.platform.startswith("linux"):
+        assert context.get_start_method() == "fork"
+    else:
+        assert context is None
+
+
 def test_cli_bytes_equal_at_one_and_two_workers(tmp_path):
     # several rows of several blocks each, so the one-pool task list spans
     # rows and the per-row merge has to restore the order
@@ -404,6 +428,39 @@ def test_tail_check_worker_invariance():
     base = tail_check(2.0, 20, m=5000, seed=71, workers=1)
     four = tail_check(2.0, 20, m=5000, seed=71, workers=4)
     assert base == four
+
+
+@pytest.mark.parametrize("group_rows", (1, 7))
+@pytest.mark.parametrize("n", (1, 2, 64))
+def test_row_groups_leave_every_cbe_run_unchanged(monkeypatch, n, group_rows):
+    # a run that draws and counts each block in row groups of group_rows
+    # replicas gives the results of whole blocks exactly
+    runs = {
+        "scan cbe": lambda: variance_scan(ScanSpec("cbe", 1.5, n, (0.5, 3.0)), m=300, seed=75),
+        "scan sine": lambda: variance_scan(ScanSpec("sine", 1.5, n, (0.05, 0.1)), m=300, seed=76),
+        "tail": lambda: tail_check(1.5, n, m=300, seed=77),
+    }
+    if n == 64:
+        runs["regularity"] = lambda: list(regularity_profile(1.5, 6.4, m=300, seed=78))
+    whole = {name: run() for name, run in runs.items()}
+    monkeypatch.setattr(circular, "GROUP_BYTES", group_rows * 16 * max(n - 1, 1) + 5)
+    assert {len(g) for g in circular._row_groups(range(300), n)} <= {group_rows, group_rows - 1}
+    for name, run in runs.items():
+        assert run() == whole[name], name
+
+
+def test_regularity_profile_peak_memory():
+    # cbe-regularity's block, (C, n) = (1024, 3000), is 49 MB of coefficients:
+    # the worker draws and counts it in two groups of 24.6 MB, one at a
+    # time, so its peak stays under 1.1 * GROUP_BYTES. A loop that kept one
+    # group's arrays while drawing the next would read about 1.5.
+    tracemalloc.start()
+    try:
+        regularity_profile(2.0, 300.0, m=1024, seed=31)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.1 * circular.GROUP_BYTES, peak
 
 
 def test_wilson_upper_monotone_sane():
